@@ -9,8 +9,9 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
+use bench::naive::NaiveCommGroup;
 use elan_core::state::WorkerId;
-use elan_rt::comm::{naive::NaiveCommGroup, AllreduceOutcome, CommGroup};
+use elan_rt::comm::{AllreduceOutcome, CommGroup};
 use elan_rt::worker::{build_state_chunks, SnapshotAssembly};
 
 const LEN: usize = 1 << 20;

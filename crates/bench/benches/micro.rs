@@ -1,10 +1,9 @@
 //! Criterion micro-benchmarks of Elan's hot paths: replication planning,
-//! the event queue, the cost models, the hybrid scaling decision, the
-//! data samplers, and one end-to-end coordination-protocol round trip.
+//! the event queue, the cost models, the hybrid scaling decision and the
+//! data samplers.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
-use elan_core::coordination::{run_coordination, CoordinationConfig};
 use elan_core::data::{ChunkSampler, SerialSampler};
 use elan_core::elasticity::{AdjustmentRequest, ElasticitySystem};
 use elan_core::scaling::hybrid_scale;
@@ -110,18 +109,6 @@ fn bench_data_samplers(c: &mut Criterion) {
     });
 }
 
-fn bench_coordination_protocol(c: &mut Criterion) {
-    c.bench_function("protocol/scale_out_4_to_8", |b| {
-        b.iter(|| {
-            // Enough rounds that the ~25s init window completes within the
-            // job (rounds are 2s each).
-            let mut cfg = CoordinationConfig::baseline(4, 30);
-            cfg.request = Some(AdjustmentRequest::contiguous(4, 8));
-            run_coordination(black_box(&cfg))
-        })
-    });
-}
-
 criterion_group!(
     name = benches;
     config = Criterion::default().sample_size(20).measurement_time(std::time::Duration::from_secs(2)).warm_up_time(std::time::Duration::from_millis(500));
@@ -129,7 +116,6 @@ criterion_group!(
         bench_event_queue,
         bench_models,
         bench_adjustment_pricing,
-        bench_data_samplers,
-        bench_coordination_protocol
+        bench_data_samplers
 );
 criterion_main!(benches);

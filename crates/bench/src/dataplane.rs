@@ -24,10 +24,12 @@ use std::time::Instant;
 
 use elan_core::obs::AdjustmentPhase;
 use elan_core::state::WorkerId;
-use elan_rt::comm::{naive::NaiveCommGroup, AllreduceOutcome, CommGroup, CommTopology, ReducePath};
+use elan_rt::comm::{AllreduceOutcome, CommGroup, CommTopology, ReducePath};
 use elan_rt::time::TimeSource;
 use elan_rt::worker::{build_state_chunks, SnapshotAssembly};
 use elan_rt::{ElasticRuntime, RuntimeConfig, TuningProfile};
+
+use crate::naive::NaiveCommGroup;
 
 /// Warm-up rounds excluded from every allreduce timing (they also fill
 /// the chunked group's buffer pool, so the timed region is the

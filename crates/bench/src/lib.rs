@@ -10,6 +10,7 @@
 pub mod churn;
 pub mod dataplane;
 pub mod experiments;
+pub mod naive;
 pub mod table;
 
 pub use table::Table;

@@ -12,17 +12,19 @@
 //! - **Concurrent IO-free state replication** (§IV, implemented in
 //!   `elan-topology` and driven from [`adjustment`]): topology-aware
 //!   source selection and contention-free concurrent transfer waves.
-//! - **Asynchronous coordination** ([`am`], [`coordination`], §V-B): an
-//!   application master coordinates workers at iteration boundaries; new
-//!   workers start and initialize in parallel with ongoing training; no
-//!   existing worker ever shuts down.
+//! - **Asynchronous coordination** (§V-B): an application master
+//!   coordinates workers at iteration boundaries; new workers start and
+//!   initialize in parallel with ongoing training; no existing worker ever
+//!   shuts down. The one AM implementation is `elan-rt`'s live runtime;
+//!   this crate holds the pieces it is built from: the wire messages
+//!   ([`protocol`], [`codec`]), the replicated store and message retry
+//!   machinery backing AM fault tolerance ([`store`], [`messages`],
+//!   [`lease`], §V-D), and the metrics and journal vocabulary ([`obs`]).
 //!
 //! Supporting pieces: the training-state hook API ([`state`], §V-A), the
-//! serial data-loading semantics ([`data`], §V-C), the replicated store and
-//! message retry machinery backing AM fault tolerance ([`store`],
-//! [`messages`], §V-D), the elasticity-system abstraction shared with the
-//! baselines ([`elasticity`]), and the elastic-training experiment driver
-//! ([`job`], §VI-B).
+//! serial data-loading semantics ([`data`], §V-C), the elasticity-system
+//! abstraction shared with the baselines ([`elasticity`]), and the
+//! elastic-training experiment driver ([`job`], §VI-B).
 //!
 //! # Examples
 //!
@@ -42,10 +44,7 @@
 //! ```
 
 pub mod adjustment;
-pub mod am;
-pub mod api;
 pub mod codec;
-pub mod coordination;
 pub mod data;
 pub mod elasticity;
 pub mod error;
@@ -59,7 +58,6 @@ pub mod state;
 pub mod store;
 
 pub use adjustment::ElanSystem;
-pub use am::{AmState, ApplicationMaster, CoordinateReply};
 pub use elasticity::{
     AdjustmentContext, AdjustmentCost, AdjustmentKind, AdjustmentRequest, ElasticitySystem,
 };

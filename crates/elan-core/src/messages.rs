@@ -2,15 +2,14 @@
 //!
 //! Every Elan control message carries a unique ID and is resent on
 //! timeout; receivers deduplicate by ID. This module provides the sender-
-//! side [`RetryTracker`] and receiver-side [`DedupFilter`] /
-//! [`BoundedDedupFilter`] used by both the simulated protocol
-//! ([`crate::coordination`]) and the live runtime (`elan-rt`).
+//! side [`RetryTracker`] and receiver-side [`BoundedDedupFilter`] used by
+//! the live runtime (`elan-rt`).
 //!
-//! The tracker is generic over a [`Clock`] so the same code drives the
-//! discrete-event simulator (over [`SimTime`]) and the live threaded
-//! runtime (over [`std::time::Instant`]).
+//! The tracker is generic over a [`Clock`]: the live runtime ticks it in
+//! [`SimTime`] read from its time source (virtual or wall clock), and
+//! [`std::time::Instant`] works as well.
 
-use std::collections::{BTreeMap, BTreeSet, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 
 use elan_sim::{SimDuration, SimTime};
 
@@ -66,9 +65,9 @@ impl MsgIdAllocator {
 
 /// A point in time usable by [`RetryTracker`].
 ///
-/// Implemented for the simulator's [`SimTime`] and for wall-clock
-/// [`std::time::Instant`], so the same retry logic runs inside the
-/// discrete-event simulation and the live threaded runtime.
+/// Implemented for [`SimTime`], the axis the live runtime's time source
+/// reads on both its virtual and its wall clock, and for
+/// [`std::time::Instant`].
 pub trait Clock: Copy + Ord {
     /// The duration type separating two instants.
     type Span: Copy + Ord;
@@ -257,35 +256,6 @@ impl<P: Clone, T: Clock> RetryTracker<P, T> {
     }
 }
 
-/// Receiver-side duplicate suppression by message ID (unbounded).
-#[derive(Debug, Clone, Default)]
-pub struct DedupFilter {
-    seen: HashSet<MsgId>,
-    duplicates: u64,
-}
-
-impl DedupFilter {
-    /// Creates an empty filter.
-    pub fn new() -> Self {
-        DedupFilter::default()
-    }
-
-    /// Records `id`; returns true if this is the first delivery (the
-    /// message should be processed) and false for duplicates.
-    pub fn first_delivery(&mut self, id: MsgId) -> bool {
-        let fresh = self.seen.insert(id);
-        if !fresh {
-            self.duplicates += 1;
-        }
-        fresh
-    }
-
-    /// Duplicates suppressed so far.
-    pub fn duplicate_count(&self) -> u64 {
-        self.duplicates
-    }
-}
-
 #[derive(Debug, Clone, Default)]
 struct SenderWindow {
     /// Every sequence number strictly below this is presumed already seen.
@@ -296,8 +266,8 @@ struct SenderWindow {
 
 /// Receiver-side duplicate suppression with bounded memory.
 ///
-/// [`DedupFilter`] remembers every ID forever, which is unacceptable for a
-/// long-lived runtime. This filter keeps a sliding window of at most
+/// Remembering every ID forever is unacceptable for a long-lived
+/// runtime, so this filter keeps a sliding window of at most
 /// `window` IDs **per sender stream** (the high 32 bits of the ID, see
 /// [`MsgIdAllocator::for_owner`]). When a sender's window overflows, the
 /// smallest retained ID is evicted and becomes the stream's high-watermark
@@ -641,15 +611,6 @@ mod tests {
             t.poll(t0 + Duration::from_millis(50)),
             vec![RetryOutcome::Resend(MsgId(9), "wall")]
         );
-    }
-
-    #[test]
-    fn dedup_filters_replays() {
-        let mut d = DedupFilter::new();
-        assert!(d.first_delivery(MsgId(1)));
-        assert!(!d.first_delivery(MsgId(1)));
-        assert!(d.first_delivery(MsgId(2)));
-        assert_eq!(d.duplicate_count(), 1);
     }
 
     #[test]

@@ -3,8 +3,7 @@
 //! The application master persists its state machine to distributed
 //! storage before acting on transitions, so a crashed AM can be replaced
 //! and resume where it left off. This module provides a deterministic
-//! in-process equivalent with versioned writes and compare-and-swap, plus
-//! crash-snapshot support used by the fault-tolerance tests.
+//! in-process equivalent with versioned writes and compare-and-swap.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -28,8 +27,6 @@ pub enum StoreError {
         /// The version actually stored.
         actual: u64,
     },
-    /// The key does not exist.
-    NotFound,
 }
 
 impl fmt::Display for StoreError {
@@ -38,7 +35,6 @@ impl fmt::Display for StoreError {
             StoreError::VersionConflict { expected, actual } => {
                 write!(f, "version conflict: expected {expected}, stored {actual}")
             }
-            StoreError::NotFound => write!(f, "key not found"),
         }
     }
 }
@@ -61,7 +57,6 @@ impl std::error::Error for StoreError {}
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ReplicatedStore<T> {
     entries: HashMap<String, Versioned<T>>,
-    writes: u64,
 }
 
 impl<T: Clone> ReplicatedStore<T> {
@@ -69,14 +64,12 @@ impl<T: Clone> ReplicatedStore<T> {
     pub fn new() -> Self {
         ReplicatedStore {
             entries: HashMap::new(),
-            writes: 0,
         }
     }
 
     /// Unconditionally writes `value`, returning the new version.
     pub fn put(&mut self, key: impl Into<String>, value: T) -> u64 {
         let key = key.into();
-        self.writes += 1;
         let version = self.entries.get(&key).map_or(0, |v| v.version) + 1;
         self.entries.insert(key, Versioned { version, value });
         version
@@ -104,42 +97,6 @@ impl<T: Clone> ReplicatedStore<T> {
     /// Reads the versioned value at `key`.
     pub fn get(&self, key: &str) -> Option<&Versioned<T>> {
         self.entries.get(key)
-    }
-
-    /// Deletes `key`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StoreError::NotFound`] if the key does not exist.
-    pub fn delete(&mut self, key: &str) -> Result<Versioned<T>, StoreError> {
-        self.entries.remove(key).ok_or(StoreError::NotFound)
-    }
-
-    /// Keys with the given prefix, sorted.
-    pub fn keys_with_prefix(&self, prefix: &str) -> Vec<String> {
-        let mut keys: Vec<String> = self
-            .entries
-            .keys()
-            .filter(|k| k.starts_with(prefix))
-            .cloned()
-            .collect();
-        keys.sort_unstable();
-        keys
-    }
-
-    /// Total writes accepted — persistence-cost metric for overhead math.
-    pub fn write_count(&self) -> u64 {
-        self.writes
-    }
-
-    /// Number of live keys.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True when the store has no keys.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 }
 
@@ -178,23 +135,6 @@ mod tests {
     }
 
     #[test]
-    fn delete_and_not_found() {
-        let mut s = ReplicatedStore::new();
-        s.put("k", 1);
-        assert_eq!(s.delete("k").unwrap().value, 1);
-        assert_eq!(s.delete("k"), Err(StoreError::NotFound));
-    }
-
-    #[test]
-    fn prefix_listing_is_sorted() {
-        let mut s = ReplicatedStore::new();
-        s.put("am/2", 0);
-        s.put("am/1", 0);
-        s.put("job/1", 0);
-        assert_eq!(s.keys_with_prefix("am/"), vec!["am/1", "am/2"]);
-    }
-
-    #[test]
     fn crash_recovery_via_clone() {
         // The AM clones the store into "stable storage"; a new AM resumes
         // from the snapshot with identical contents.
@@ -204,14 +144,5 @@ mod tests {
         drop(live); // the AM crashes
         let recovered = stable;
         assert_eq!(recovered.get("am/state").unwrap().value, "Pending");
-    }
-
-    #[test]
-    fn write_count_tracks_persistence_cost() {
-        let mut s = ReplicatedStore::new();
-        s.put("a", 1);
-        s.put("a", 2);
-        let _ = s.compare_and_put("a", 2, 3);
-        assert_eq!(s.write_count(), 3);
     }
 }

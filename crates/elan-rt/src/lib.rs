@@ -1,7 +1,8 @@
 //! A live, multi-threaded runtime speaking the Elan coordination protocol.
 //!
-//! The simulator in `elan-core` proves the protocol on virtual time; this
-//! crate proves it on *real* concurrency: worker threads train a synthetic
+//! This crate holds Elan's one application master and runs it on *real*
+//! concurrency, on the wall clock or on a seeded virtual clock
+//! ([`TimeSource::virtual_seeded`]): worker threads train a synthetic
 //! data-parallel workload with a genuine allreduce ([`comm::CommGroup`]),
 //! an application-master thread serves reports and coordinations over a
 //! channel [`bus`], and resource adjustments replicate real state buffers

@@ -1133,9 +1133,41 @@ impl ElasticRuntime {
     }
 }
 
-/// A topology big enough to place any worker id we might allocate.
-fn planning_topology() -> Topology {
-    ClusterSpec::new(64, 2, 2, 2).build() // 512 GPU slots
+/// The replication planner's topology for `participants` workers: 512
+/// GPU slots (64 nodes of 8), grown by whole nodes only if one plan ever
+/// needs more slots than that.
+fn planning_topology(participants: usize) -> Topology {
+    let nodes = u32::try_from(participants.div_ceil(8)).unwrap_or(u32::MAX);
+    ClusterSpec::new(nodes.max(64), 2, 2, 2).build()
+}
+
+/// Gives each replication participant a distinct GPU slot of
+/// `topology`. An id inside the topology keeps its own slot, so plans
+/// over such ids never change; every `migrate` and `scale_out` mints new
+/// ids, and an id past the last slot folds onto the first free slot at
+/// or after `id mod slots` (the wrap the comm placement uses). The
+/// topology holds at least as many slots as there are participants, so
+/// the probe always finds one.
+fn placements(topology: &Topology, workers: &[WorkerId]) -> BTreeMap<WorkerId, GpuId> {
+    let slots = topology.gpu_count();
+    let mut taken: BTreeSet<u32> = workers
+        .iter()
+        .map(|w| w.0)
+        .filter(|&id| id < slots)
+        .collect();
+    workers
+        .iter()
+        .map(|&w| {
+            let mut slot = w.0;
+            if slot >= slots {
+                slot %= slots;
+                while !taken.insert(slot) {
+                    slot = (slot + 1) % slots;
+                }
+            }
+            (w, GpuId(slot))
+        })
+        .collect()
 }
 
 /// Spawns one AM incarnation; epoch 0 is the founding AM.
@@ -1259,7 +1291,6 @@ fn am_thread(
         last_boundary: 0,
         checkpoint_req: None,
         awaiting_checkpoint: None,
-        topology: planning_topology(),
         machine,
     }
     .run();
@@ -1316,7 +1347,6 @@ struct AmCore {
     checkpoint_req: Option<u64>,
     /// A `CheckpointOrder{seq}` whose snapshot has not landed yet.
     awaiting_checkpoint: Option<u64>,
-    topology: Topology,
     /// Open-membership epoch machine (`Some` iff
     /// [`RuntimeConfig::open_membership`] is set): decides *when* joiners
     /// are admitted; the AM's adjustment pipeline remains the mechanism
@@ -2047,15 +2077,19 @@ impl AmCore {
             return;
         }
         // Rejoiners hold void state — they are destinations, never sources.
-        let sources: Vec<GpuId> = self
+        let sources: Vec<WorkerId> = self
             .live()
-            .iter()
+            .into_iter()
             .filter(|w| !self.rejoining.contains(w))
-            .map(|w| GpuId(w.0))
             .collect();
-        let dests: Vec<GpuId> = joining.iter().map(|w| GpuId(w.0)).collect();
-        let plan = ReplicationPlanner::new(&self.topology)
-            .plan(&sources, &dests)
+        let participants: Vec<WorkerId> = sources.iter().chain(&joining).copied().collect();
+        let topology = planning_topology(participants.len());
+        let slot = placements(&topology, &participants);
+        let worker_at: BTreeMap<GpuId, WorkerId> = slot.iter().map(|(&w, &g)| (g, w)).collect();
+        let gpus =
+            |workers: &[WorkerId]| -> Vec<GpuId> { workers.iter().map(|w| slot[w]).collect() };
+        let plan = ReplicationPlanner::new(&topology)
+            .plan(&gpus(&sources), &gpus(&joining))
             .expect("valid placements");
         let transfers = plan.transfers();
         self.transfer_waves = plan
@@ -2063,7 +2097,7 @@ impl AmCore {
             .iter()
             .map(|wave| {
                 wave.iter()
-                    .map(|&i| (WorkerId(transfers[i].src.0), WorkerId(transfers[i].dst.0)))
+                    .map(|&i| (worker_at[&transfers[i].src], worker_at[&transfers[i].dst]))
                     .collect()
             })
             .collect();

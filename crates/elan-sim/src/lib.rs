@@ -7,8 +7,6 @@
 //!
 //! - [`SimTime`] / [`SimDuration`]: integer-nanosecond virtual clock types,
 //! - [`Scheduler`]: a time-ordered event queue with stable FIFO tie-breaking,
-//! - [`World`] / [`Actor`]: a small message-passing actor framework layered on
-//!   the scheduler, used by the coordination-protocol simulations,
 //! - [`SeedStream`]: deterministic derivation of per-component RNG seeds,
 //! - [`metrics`]: time series, summary statistics, and histograms used to
 //!   produce the paper's figures,
@@ -29,14 +27,12 @@
 //! assert_eq!(t2, SimTime::ZERO + SimDuration::from_millis(5));
 //! ```
 
-pub mod actor;
 pub mod event;
 pub mod metrics;
 pub mod rng;
 pub mod time;
 pub mod units;
 
-pub use actor::{Actor, ActorId, Ctx, World};
 pub use event::Scheduler;
 pub use metrics::{Histogram, Series, Summary};
 pub use rng::SeedStream;

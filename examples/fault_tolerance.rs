@@ -1,13 +1,10 @@
-//! Fault tolerance end to end (§V-D), three times over:
+//! Fault tolerance end to end (§V-D), on the live multi-threaded runtime:
 //!
-//! 1. in the **simulated** coordination protocol: message loss with
-//!    retries, and an application-master crash recovered from the
-//!    replicated store — all while a scale-out adjustment is in flight;
-//! 2. in the **live multi-threaded runtime**: the same crash, but as a
-//!    real dead thread on a fault-injecting bus, with a watchdog electing
-//!    a replacement AM that recovers the half-done adjustment and a
+//! 1. **message loss and an AM crash**: a real dead thread on a
+//!    fault-injecting bus, with a watchdog electing a replacement AM that
+//!    recovers the half-done scale-out from the replicated store and a
 //!    reliable-messaging layer masking 20% message loss;
-//! 3. a **network partition and a worker rejoin**, on virtual time: a
+//! 2. a **network partition and a worker rejoin**, on virtual time: a
 //!    scripted 500ms window isolates the acting AM mid-scale-out, a
 //!    term-fenced successor takes over and completes the op, the window
 //!    heals — then a worker crashes at a coordination boundary, restarts,
@@ -20,52 +17,10 @@
 
 use std::time::Duration;
 
-use elan::core::coordination::{run_coordination, CoordinationConfig};
-use elan::core::elasticity::AdjustmentRequest;
 use elan::rt::{
     check_term_safety, ChaosPolicy, CrashPoint, ElasticRuntime, EndpointId, RuntimeConfig,
     TimeSource,
 };
-use elan::sim::SimDuration;
-
-fn simulated() {
-    let mut cfg = CoordinationConfig::baseline(6, 40);
-    cfg.request = Some(AdjustmentRequest::contiguous(6, 10));
-    cfg.loss_prob = 0.15; // 15% of control messages vanish
-    cfg.am_crash = Some((SimDuration::from_secs(12), SimDuration::from_secs(5)));
-
-    println!(
-        "== simulated protocol ==\n\
-         6 workers training, scaling out to 10; 15% message loss; the AM\n\
-         crashes at t=12s for 5s while new workers are still initializing.\n"
-    );
-    let out = run_coordination(&cfg);
-
-    println!("AM recoveries survived : {}", out.am.recoveries);
-    println!(
-        "adjustment completed at: {}",
-        out.am
-            .adjustment_completed_at
-            .map_or("never".to_string(), |t| t.to_string())
-    );
-    println!("message resends        : {}", out.total_resends());
-    println!("duplicates suppressed  : {}", out.am.duplicates);
-    println!("worst training stall   : {}", out.max_stall());
-    println!();
-    for (gpu, w) in &out.workers {
-        println!(
-            "  {gpu}: rounds {:>2}  stalled {:>10}  joined {}  left {}",
-            w.rounds_completed,
-            w.stalled.to_string(),
-            w.joined,
-            w.left
-        );
-    }
-
-    assert!(out.am.adjustment_completed_at.is_some());
-    assert_eq!(out.am.recoveries, 1);
-    println!("\nall invariants held: the adjustment completed despite loss and crash\n");
-}
 
 fn live() {
     println!(
@@ -222,7 +177,6 @@ fn partitioned() {
 }
 
 fn main() {
-    simulated();
     live();
     partitioned();
 }

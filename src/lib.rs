@@ -7,9 +7,10 @@
 //! - [`topology`] — cluster model and the concurrent IO-free replication
 //!   planner (§IV),
 //! - [`models`] — DL workload, performance, and convergence models (§III),
-//! - [`core`] — the Elan system: hybrid scaling, asynchronous coordination,
-//!   state replication, serial data loading, AM fault tolerance (§III–§V),
-//! - [`rt`] — a live multi-threaded runtime speaking the same protocol,
+//! - [`core`] — the Elan system: hybrid scaling, the coordination wire
+//!   protocol, serial data loading, AM fault-tolerance primitives
+//!   (§III–§V),
+//! - [`rt`] — the live multi-threaded runtime and its application master,
 //! - [`baselines`] — Shutdown-&-Restart and Litz-style baselines (§VI),
 //! - [`sched`] — elastic job scheduling simulation (§VI-C).
 //!

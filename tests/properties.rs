@@ -2,10 +2,9 @@
 
 use proptest::prelude::*;
 
-use elan::core::coordination::{run_coordination, CoordinationConfig};
 use elan::core::data::{ChunkSampler, SerialSampler};
-use elan::core::elasticity::AdjustmentRequest;
 use elan::core::scaling::{hybrid_scale, ProgressiveLrRamp, ScalingMode};
+use elan::rt::{ChaosPolicy, ElasticRuntime, EventKind, RuntimeConfig, TimeSource};
 use elan::sim::{Scheduler, SimDuration, SimTime};
 use elan::topology::{ClusterSpec, GpuId, LinkLevel, ReplicationPlanner};
 
@@ -279,9 +278,11 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Protocol liveness: across worker counts, adjustment shapes, and
-    /// message-loss rates, the coordination protocol always completes the
-    /// adjustment and every staying worker finishes all rounds.
+    /// Protocol liveness on the live AM under the virtual clock: across
+    /// worker counts, adjustment shapes, and message-loss rates, the
+    /// adjustment completes, every staying worker and every joiner trains
+    /// to the end, every leaver stops early, the replicas stay
+    /// bit-identical, and the failure detector never fires on a member.
     #[test]
     fn coordination_protocol_is_live_under_loss(
         n_existing in 2u32..8,
@@ -296,25 +297,48 @@ proptest! {
             (n_existing.saturating_sub(n_delta)).max(1)
         };
         prop_assume!(n_after != n_existing);
-        let mut cfg = CoordinationConfig::baseline(n_existing, 20);
-        cfg.request = Some(AdjustmentRequest::contiguous(n_existing, n_after));
-        cfg.loss_prob = loss_centi as f64 / 100.0;
-        cfg.seed = seed;
-        let out = run_coordination(&cfg);
-        prop_assert!(out.am.adjustment_completed_at.is_some());
-        // Stayers complete every round.
-        for g in 0..n_existing.min(n_after) {
-            prop_assert_eq!(out.workers[&GpuId(g)].rounds_completed, 20);
-        }
-        // Joiners joined; leavers left.
-        if n_after > n_existing {
-            for g in n_existing..n_after {
-                prop_assert!(out.workers[&GpuId(g)].joined);
-            }
+        let mut cfg = RuntimeConfig::small(n_existing);
+        // 0.44^12 ≈ 5e-5: a tracked message exhausting its budget at 25%
+        // loss each way stays negligible.
+        cfg.retry_max_attempts = 12;
+        let mut rt = ElasticRuntime::builder()
+            .config(cfg)
+            .chaos(ChaosPolicy::new(seed).drop(f64::from(loss_centi) / 100.0))
+            .time(TimeSource::virtual_seeded(seed))
+            .start()
+            .unwrap();
+        let before = rt.members();
+        rt.run_until_iteration(10);
+        if grow {
+            rt.scale_out(n_after - n_existing);
         } else {
-            for g in n_after..n_existing {
-                prop_assert!(out.workers[&GpuId(g)].left);
+            rt.scale_in(n_existing - n_after);
+        }
+        let after = rt.members();
+        prop_assert_eq!(after.len(), n_after as usize);
+        rt.run_until_iteration(20);
+        let report = rt.shutdown();
+        prop_assert!(report.states_consistent());
+        prop_assert_eq!(report.final_world_size, n_after);
+        // A worker whose final `Leave` ack was lost is presumed dead once
+        // it has gone — a leaver at the adjustment, anyone at shutdown —
+        // but no member is while the job still trains.
+        let training = report
+            .events
+            .iter()
+            .rposition(|e| matches!(e.kind, EventKind::BoundaryReleased { .. }))
+            .unwrap_or(0);
+        for e in &report.events[..training] {
+            if let EventKind::WorkerDeclaredDead { worker, .. } = e.kind {
+                prop_assert!(!after.contains(&worker), "{:?} declared dead", worker);
             }
+        }
+        let last = report.workers.values().map(|v| v.iteration).max().unwrap_or(0);
+        for w in &after {
+            prop_assert_eq!(report.workers[w].iteration, last, "{:?} stopped early", w);
+        }
+        for w in before.iter().filter(|w| !after.contains(w)) {
+            prop_assert!(report.workers[w].iteration < last, "{:?} never left", w);
         }
     }
 }
