@@ -3,11 +3,8 @@
 //! Every Elan control message carries a unique ID and is resent on
 //! timeout; receivers deduplicate by ID. This module provides the sender-
 //! side [`RetryTracker`] and receiver-side [`BoundedDedupFilter`] used by
-//! the live runtime (`elan-rt`).
-//!
-//! The tracker is generic over a [`Clock`]: the live runtime ticks it in
-//! [`SimTime`] read from its time source (virtual or wall clock), and
-//! [`std::time::Instant`] works as well.
+//! the live runtime (`elan-rt`), which ticks the tracker in [`SimTime`]
+//! read from its time source (virtual or wall clock).
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -63,36 +60,6 @@ impl MsgIdAllocator {
     }
 }
 
-/// A point in time usable by [`RetryTracker`].
-///
-/// Implemented for [`SimTime`], the axis the live runtime's time source
-/// reads on both its virtual and its wall clock, and for
-/// [`std::time::Instant`].
-pub trait Clock: Copy + Ord {
-    /// The duration type separating two instants.
-    type Span: Copy + Ord;
-
-    /// Time elapsed since `earlier`, saturating to zero if `earlier` is in
-    /// the future.
-    fn saturating_since(self, earlier: Self) -> Self::Span;
-}
-
-impl Clock for SimTime {
-    type Span = SimDuration;
-
-    fn saturating_since(self, earlier: Self) -> SimDuration {
-        self.saturating_duration_since(earlier)
-    }
-}
-
-impl Clock for std::time::Instant {
-    type Span = std::time::Duration;
-
-    fn saturating_since(self, earlier: Self) -> std::time::Duration {
-        self.saturating_duration_since(earlier)
-    }
-}
-
 /// What [`RetryTracker::poll`] decided about one overdue message.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RetryOutcome<P> {
@@ -104,8 +71,8 @@ pub enum RetryOutcome<P> {
 }
 
 #[derive(Debug, Clone)]
-struct Inflight<P, T> {
-    sent_at: T,
+struct Inflight<P> {
+    sent_at: SimTime,
     attempts: u32,
     payload: P,
 }
@@ -133,17 +100,17 @@ struct Inflight<P, T> {
 /// assert!(tracker.due(SimTime::from_secs(99)).is_empty());
 /// ```
 #[derive(Debug, Clone)]
-pub struct RetryTracker<P, T: Clock = SimTime> {
-    timeout: T::Span,
+pub struct RetryTracker<P> {
+    timeout: SimDuration,
     max_attempts: Option<u32>,
-    inflight: BTreeMap<MsgId, Inflight<P, T>>,
+    inflight: BTreeMap<MsgId, Inflight<P>>,
     resends: u64,
     give_ups: u64,
 }
 
-impl<P: Clone, T: Clock> RetryTracker<P, T> {
+impl<P: Clone> RetryTracker<P> {
     /// Creates a tracker with the given resend timeout and no attempt cap.
-    pub fn new(timeout: T::Span) -> Self {
+    pub fn new(timeout: SimDuration) -> Self {
         RetryTracker {
             timeout,
             max_attempts: None,
@@ -163,7 +130,7 @@ impl<P: Clone, T: Clock> RetryTracker<P, T> {
     }
 
     /// Starts tracking a sent message (attempt #1).
-    pub fn track(&mut self, id: MsgId, payload: P, sent_at: T) {
+    pub fn track(&mut self, id: MsgId, payload: P, sent_at: SimTime) {
         self.inflight.insert(
             id,
             Inflight {
@@ -182,11 +149,11 @@ impl<P: Clone, T: Clock> RetryTracker<P, T> {
     /// Examines every in-flight message at `now` and returns an outcome for
     /// each overdue one: either a resend (timer reset, attempt counted) or a
     /// give-up (message dropped from the tracker).
-    pub fn poll(&mut self, now: T) -> Vec<RetryOutcome<P>> {
+    pub fn poll(&mut self, now: SimTime) -> Vec<RetryOutcome<P>> {
         let mut out = Vec::new();
         let mut dead = Vec::new();
         for (&id, entry) in self.inflight.iter_mut() {
-            if now.saturating_since(entry.sent_at) < self.timeout {
+            if now.saturating_duration_since(entry.sent_at) < self.timeout {
                 continue;
             }
             if let Some(max) = self.max_attempts {
@@ -215,7 +182,7 @@ impl<P: Clone, T: Clock> RetryTracker<P, T> {
     ///
     /// Compatibility wrapper over [`poll`](Self::poll) that silently drops
     /// give-ups (they still count in [`give_up_count`](Self::give_up_count)).
-    pub fn due(&mut self, now: T) -> Vec<(MsgId, P)> {
+    pub fn due(&mut self, now: SimTime) -> Vec<(MsgId, P)> {
         self.poll(now)
             .into_iter()
             .filter_map(|o| match o {
@@ -251,7 +218,7 @@ impl<P: Clone, T: Clock> RetryTracker<P, T> {
     }
 
     /// The configured timeout.
-    pub fn timeout(&self) -> T::Span {
+    pub fn timeout(&self) -> SimDuration {
         self.timeout
     }
 }
@@ -503,7 +470,6 @@ impl ChunkAssembler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::{Duration, Instant};
 
     #[test]
     fn allocator_never_repeats() {
@@ -599,18 +565,6 @@ mod tests {
         assert_eq!(out, vec![RetryOutcome::GaveUp(MsgId(2), 2)]);
         assert_eq!(t.give_up_count(), 1);
         assert_eq!(t.resend_count(), 0);
-    }
-
-    #[test]
-    fn wall_clock_instantiation() {
-        let t0 = Instant::now();
-        let mut t: RetryTracker<&str, Instant> = RetryTracker::new(Duration::from_millis(50));
-        t.track(MsgId(9), "wall", t0);
-        assert!(t.poll(t0 + Duration::from_millis(10)).is_empty());
-        assert_eq!(
-            t.poll(t0 + Duration::from_millis(50)),
-            vec![RetryOutcome::Resend(MsgId(9), "wall")]
-        );
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //!   where flat still wins. The result is cached process-wide, so a
 //!   process pays the (few-millisecond) probe at most once. Timing uses
 //!   the runtime's [`TimeSource`] only — no `Instant` in this crate
-//!   outside `time.rs` (the WALL_CLOCK invariant).
+//!   outside `time.rs` (the VIRTUAL_TIME_UNSAFE invariant).
 //! - **Virtual time**: [`TuningProfile::pinned`] — fixed, named
 //!   constants, because a probed crossover would make path dispatch (and
 //!   therefore the journal) a function of host load instead of the seed.

@@ -45,7 +45,7 @@ use crate::comm::{CommGroup, TuningProfile};
 use crate::liveness::SharedControl;
 use crate::obs::{Obs, DEFAULT_RING_CAPACITY};
 use crate::reliable::ReliableEndpoint;
-use crate::runtime::RuntimeConfig;
+use crate::runtime::{RuntimeConfig, HB_PERIOD, LEASE_TTL, RETRY_TIMEOUT, TICK};
 use crate::time::TimeSource;
 use crate::transport::{SocketTransport, Transport};
 use crate::worker::{run_worker, Telemetry, WorkerConfig, WorkerRole, WorkerView};
@@ -106,8 +106,8 @@ impl RemoteRole {
 ///
 /// `cfg` must agree with the coordinator's [`RuntimeConfig`] on the
 /// training-shape fields (`param_elems`, `coordination_interval`,
-/// `learning_rate`, `total_batch`, `replication_chunk_elems`); the
-/// timing fields only pace this process's own loops.
+/// `learning_rate`, `total_batch`, `replication_chunk_elems`); its loops
+/// are paced by the same timing constants as the coordinator's.
 pub fn run_remote_worker(
     addr: &str,
     id: WorkerId,
@@ -124,11 +124,7 @@ pub fn run_remote_worker(
     // registration, and the bus caches journal/time when wrapped.
     transport.attach(Some(Arc::clone(&obs.journal)), time.clone());
     let bus = Bus::with_transport(transport);
-    let ctrl = Arc::new(SharedControl::with_time(
-        Duration::from_millis(cfg.lease_ttl_ms),
-        obs,
-        time.clone(),
-    ));
+    let ctrl = Arc::new(SharedControl::with_time(LEASE_TTL, obs, time.clone()));
     let profile = TuningProfile::for_time(&time);
     let comm = Arc::new(CommGroup::with_tuning([id], cfg.param_elems, profile, None));
     comm.set_journal(Arc::clone(&ctrl.obs.journal));
@@ -139,7 +135,7 @@ pub fn run_remote_worker(
         bus.clone(),
         bus.register(EndpointId::Worker(id)),
         16 + id.0,
-        Duration::from_millis(cfg.retry_timeout_ms),
+        RETRY_TIMEOUT,
         None, // workers retry forever; the AM decides who is dead
         Arc::clone(&ctrl.metrics),
     );
@@ -149,8 +145,8 @@ pub fn run_remote_worker(
         coordination_interval: cfg.coordination_interval,
         learning_rate: cfg.learning_rate,
         total_batch: cfg.total_batch,
-        hb_period: Duration::from_millis(cfg.hb_period_ms),
-        tick: Duration::from_millis(cfg.tick_ms),
+        hb_period: HB_PERIOD,
+        tick: TICK,
         replication_chunk_elems: cfg.replication_chunk_elems,
         compute: Duration::from_micros(cfg.compute_us),
     };

@@ -65,6 +65,19 @@ const AM_OWNER_FLAG: u32 = 1 << 31;
 /// application level (covers AM failovers that swallowed the original).
 const OP_RESEND_EVERY: SimDuration = SimDuration::from_millis(400);
 
+/// Worker liveness-beacon period.
+pub(crate) const HB_PERIOD: Duration = Duration::from_millis(25);
+/// Silence after which the AM declares a worker dead.
+const HB_TIMEOUT: Duration = Duration::from_millis(400);
+/// AM lease TTL; the watchdog elects a replacement past this.
+pub(crate) const LEASE_TTL: Duration = Duration::from_millis(200);
+/// Watchdog poll period.
+const WATCHDOG_POLL: Duration = Duration::from_millis(40);
+/// Reliable-messaging ack timeout before a resend.
+pub(crate) const RETRY_TIMEOUT: Duration = Duration::from_millis(60);
+/// Control-loop receive-poll granularity.
+pub(crate) const TICK: Duration = Duration::from_millis(20);
+
 /// Configuration of a live elastic job.
 #[derive(Debug, Clone, Copy)]
 pub struct RuntimeConfig {
@@ -78,20 +91,8 @@ pub struct RuntimeConfig {
     pub learning_rate: f32,
     /// Samples consumed per iteration.
     pub total_batch: u32,
-    /// Worker liveness-beacon period (ms).
-    pub hb_period_ms: u64,
-    /// Silence after which the AM declares a worker dead (ms).
-    pub hb_timeout_ms: u64,
-    /// AM lease TTL (ms); the watchdog elects a replacement past this.
-    pub lease_ttl_ms: u64,
-    /// Watchdog poll period (ms).
-    pub watchdog_poll_ms: u64,
-    /// Reliable-messaging ack timeout before a resend (ms).
-    pub retry_timeout_ms: u64,
     /// AM-side send attempts before presuming the peer dead.
     pub retry_max_attempts: u32,
-    /// Control-loop receive-poll granularity (ms).
-    pub tick_ms: u64,
     /// Elements per `StateChunk` message when replicating state.
     pub replication_chunk_elems: usize,
     /// Simulated forward/backward cost per iteration (µs). `0` (the
@@ -120,23 +121,13 @@ impl RuntimeConfig {
             coordination_interval: 5,
             learning_rate: 0.05,
             total_batch: 128,
-            hb_period_ms: 25,
-            hb_timeout_ms: 400,
-            lease_ttl_ms: 200,
-            watchdog_poll_ms: 40,
-            retry_timeout_ms: 60,
             retry_max_attempts: 8,
-            tick_ms: 20,
             // 1024-elem test configs stream 4 chunks per buffer, so the
             // chunked path is exercised even by the small profile.
             replication_chunk_elems: 256,
             compute_us: 0,
             open_membership: None,
         }
-    }
-
-    fn tick(&self) -> Duration {
-        Duration::from_millis(self.tick_ms)
     }
 }
 
@@ -535,11 +526,7 @@ impl ElasticRuntime {
             }
         };
         let metrics = Arc::clone(&obs.rt);
-        let ctrl = Arc::new(SharedControl::with_time(
-            Duration::from_millis(cfg.lease_ttl_ms),
-            obs,
-            time.clone(),
-        ));
+        let ctrl = Arc::new(SharedControl::with_time(LEASE_TTL, obs, time.clone()));
         if remote_workers {
             // Founding workers are OS processes an external orchestrator
             // spawns after this returns: give their first contact room
@@ -574,7 +561,7 @@ impl ElasticRuntime {
             bus.clone(),
             bus.register(EndpointId::Controller),
             1,
-            Duration::from_millis(cfg.retry_timeout_ms),
+            RETRY_TIMEOUT,
             None, // the controller retries forever — failover will answer
             Arc::clone(&metrics),
         );
@@ -634,7 +621,7 @@ impl ElasticRuntime {
             self.bus.clone(),
             self.bus.register(EndpointId::Worker(id)),
             16 + id.0,
-            Duration::from_millis(self.cfg.retry_timeout_ms),
+            RETRY_TIMEOUT,
             None, // workers retry forever; the AM decides who is dead
             Arc::clone(&self.ctrl.metrics),
         );
@@ -644,8 +631,8 @@ impl ElasticRuntime {
             coordination_interval: self.cfg.coordination_interval,
             learning_rate: self.cfg.learning_rate,
             total_batch: self.cfg.total_batch,
-            hb_period: Duration::from_millis(self.cfg.hb_period_ms),
-            tick: self.cfg.tick(),
+            hb_period: HB_PERIOD,
+            tick: TICK,
             replication_chunk_elems: self.cfg.replication_chunk_elems,
             compute: Duration::from_micros(self.cfg.compute_us),
         };
@@ -878,7 +865,7 @@ impl ElasticRuntime {
         let mut last_send = time.now();
         loop {
             let _ = self.rep.tick();
-            if let Some((_, RtMsg::Ack { seq: s })) = self.rep.recv_timeout(self.cfg.tick()) {
+            if let Some((_, RtMsg::Ack { seq: s })) = self.rep.recv_timeout(TICK) {
                 if s == seq {
                     return;
                 }
@@ -919,7 +906,7 @@ impl ElasticRuntime {
                     offset,
                     data,
                 },
-            )) = self.rep.recv_timeout(self.cfg.tick())
+            )) = self.rep.recv_timeout(TICK)
             {
                 if let Some((iteration, data_cursor)) = assembly.offer(
                     kind,
@@ -1198,8 +1185,7 @@ fn spawn_am(
 /// record — Elan's watchdog-driven AM failover.
 fn watchdog_thread(cfg: RuntimeConfig, bus: Bus, comm: Arc<CommGroup>, ctrl: Arc<SharedControl>) {
     loop {
-        bus.time()
-            .sleep(Duration::from_millis(cfg.watchdog_poll_ms));
+        bus.time().sleep(WATCHDOG_POLL);
         if ctrl.shutting_down() {
             return;
         }
@@ -1230,7 +1216,7 @@ fn am_thread(
         bus,
         endpoint,
         AM_OWNER_FLAG | epoch as u32,
-        Duration::from_millis(cfg.retry_timeout_ms),
+        RETRY_TIMEOUT,
         Some(cfg.retry_max_attempts),
         Arc::clone(&ctrl.metrics),
     );
@@ -1244,10 +1230,8 @@ fn am_thread(
         .journal
         .emit(EventKind::TermBump { term: durable.term });
     let metrics = Arc::clone(&ctrl.metrics);
-    let first_contact_ms = ctrl
-        .first_contact_grace_ms
-        .load(Ordering::SeqCst)
-        .max(cfg.hb_timeout_ms);
+    let first_contact =
+        Duration::from_millis(ctrl.first_contact_grace_ms.load(Ordering::SeqCst)).max(HB_TIMEOUT);
     // Open membership: the founding AM starts the epoch machine fresh; a
     // failover successor rebuilds it from the durable record (epoch +
     // phase + members), and in-flight joiners re-present themselves via
@@ -1267,7 +1251,6 @@ fn am_thread(
         }
     });
     AmCore {
-        cfg,
         rep,
         comm,
         ctrl,
@@ -1275,10 +1258,7 @@ fn am_thread(
         epoch,
         lease,
         durable,
-        hb: HeartbeatMonitor::with_grace(
-            Duration::from_millis(cfg.hb_timeout_ms),
-            Duration::from_millis(first_contact_ms),
-        ),
+        hb: HeartbeatMonitor::with_grace(HB_TIMEOUT, first_contact),
         dead: BTreeSet::new(),
         fenced: false,
         rejoining: BTreeSet::new(),
@@ -1304,7 +1284,6 @@ enum Step {
 
 /// One AM incarnation: protocol state machine + failure detector.
 struct AmCore {
-    cfg: RuntimeConfig,
     rep: ReliableEndpoint,
     comm: Arc<CommGroup>,
     ctrl: Arc<SharedControl>,
@@ -1620,7 +1599,7 @@ impl AmCore {
             if matches!(self.try_progress(), Step::Exit) {
                 return;
             }
-            if let Some((from, msg)) = self.rep.recv_timeout(self.cfg.tick()) {
+            if let Some((from, msg)) = self.rep.recv_timeout(TICK) {
                 if let EndpointId::Worker(w) = from {
                     // Any traffic proves liveness, not just heartbeats.
                     let at = self.rep.time().now();

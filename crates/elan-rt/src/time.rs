@@ -2,8 +2,8 @@
 //!
 //! This is the **only** module in `elan-rt` allowed to touch
 //! [`std::time::Instant`] or [`std::thread::sleep`] (enforced by the
-//! `WALL_CLOCK` rule in `elan-verify`). Everything else reads time through a
-//! [`TimeSource`], which comes in two flavours:
+//! `VIRTUAL_TIME_UNSAFE` rule in `elan-verify`). Everything else reads time
+//! through a [`TimeSource`], which comes in two flavours:
 //!
 //! - [`TimeSource::real()`] — wall-clock time relative to a per-runtime
 //!   epoch. `sleep` is `std::thread::sleep`; parked waits are real waits.
@@ -553,9 +553,14 @@ mod tests {
                 }
             }));
         }
-        for h in handles {
-            t.blocking(|| h.join()).ok();
-        }
+        // Join every worker inside one blocking section: leaving it between
+        // joins makes the main thread runnable again at an OS-timed moment,
+        // which shifts the seeded picks among the remaining workers.
+        t.blocking(|| {
+            for h in handles {
+                h.join().ok();
+            }
+        });
         t.deregister();
         let out = log.lock().clone();
         out

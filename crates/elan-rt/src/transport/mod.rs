@@ -21,8 +21,8 @@
 //!
 //! This module is also the *only* place in `elan-rt` allowed to touch
 //! `std::net`/socket APIs — the `NETWORK_IO` rule in `elan-verify`
-//! enforces that, mirroring how `WALL_CLOCK` confines clock access to
-//! `time.rs`.
+//! enforces that, mirroring how `VIRTUAL_TIME_UNSAFE` confines clock
+//! access to `time.rs`.
 
 pub mod memory;
 pub mod socket;

@@ -6,7 +6,6 @@
 //! provides:
 //!
 //! - [`SimTime`] / [`SimDuration`]: integer-nanosecond virtual clock types,
-//! - [`Scheduler`]: a time-ordered event queue with stable FIFO tie-breaking,
 //! - [`SeedStream`]: deterministic derivation of per-component RNG seeds,
 //! - [`metrics`]: time series, summary statistics, and histograms used to
 //!   produce the paper's figures,
@@ -15,25 +14,20 @@
 //! # Examples
 //!
 //! ```
-//! use elan_sim::{Scheduler, SimDuration, SimTime};
+//! use elan_sim::{SimDuration, SimTime};
 //!
-//! let mut sched: Scheduler<&'static str> = Scheduler::new();
-//! sched.schedule_after(SimDuration::from_millis(5), "world");
-//! sched.schedule_after(SimDuration::from_millis(1), "hello");
-//! let (t1, first) = sched.pop().unwrap();
-//! let (t2, second) = sched.pop().unwrap();
-//! assert_eq!((first, second), ("hello", "world"));
-//! assert!(t1 < t2);
-//! assert_eq!(t2, SimTime::ZERO + SimDuration::from_millis(5));
+//! let start = SimTime::ZERO + SimDuration::from_millis(1);
+//! let end = start + SimDuration::from_millis(4);
+//! assert!(start < end);
+//! assert_eq!(end, SimTime::ZERO + SimDuration::from_millis(5));
+//! assert_eq!(end - start, SimDuration::from_millis(4));
 //! ```
 
-pub mod event;
 pub mod metrics;
 pub mod rng;
 pub mod time;
 pub mod units;
 
-pub use event::Scheduler;
 pub use metrics::{Histogram, Series, Summary};
 pub use rng::SeedStream;
 pub use time::{SimDuration, SimTime};

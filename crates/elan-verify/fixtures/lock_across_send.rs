@@ -1,4 +1,4 @@
-// expect: LOCK_ACROSS_SEND
+// expect: BLOCKING_UNDER_LOCK
 //
 // Known-bad: a bus send while holding a mutex guard. Under chaos the
 // send's retry/ack path can re-enter code that wants the same lock, and

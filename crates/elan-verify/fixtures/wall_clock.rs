@@ -1,4 +1,4 @@
-// expect: WALL_CLOCK
+// expect: VIRTUAL_TIME_UNSAFE
 //
 // Known-bad: a raw machine-clock read outside time.rs. Under the
 // virtual clock the journal timestamps must be a pure function of the

@@ -1,8 +1,8 @@
 //! Interprocedural reachability engine: a cross-crate, name-based call
 //! graph over every scan root, with per-function *effect sets* extracted
 //! in one token pass — locks acquired, guards live at each call site,
-//! OS-blocking operations, bus sends, `RtMsg` constructions, and the
-//! `blocking()` escape hatch. Rules consume the graph through fixpoint
+//! blocking operations (OS waits and bus sends), `RtMsg` constructions,
+//! and the `blocking()` escape hatch. Rules consume the graph through fixpoint
 //! helpers ([`Engine::reach_paths`]) that record the call chain hop by
 //! hop, so a diagnostic can print `fn a → fn b → write_all(..)` with a
 //! file:line for every hop (DESIGN.md §16).
@@ -93,10 +93,12 @@ const BLOCKING_WAIT: &[&str] = &["wait", "wait_for", "wait_timeout"];
 /// internally and are modelled through the call graph instead.
 const RAW_RECV_RECEIVERS: &[&str] = &["receiver", "rx"];
 
-/// One OS-blocking operation performed directly by a function.
+/// One blocking operation performed directly by a function: an OS wait or
+/// a bus send.
 #[derive(Debug, Clone)]
 pub struct BlockingOp {
-    /// Human-readable op, e.g. `write_all(..)`, `join()`, `thread::park`.
+    /// Human-readable op, e.g. `write_all(..)`, `join()`, `thread::park`,
+    /// `rep.send(..)`.
     pub what: String,
     pub line: u32,
     /// Lock names of all guards live at the op.
@@ -109,6 +111,11 @@ pub struct BlockingOp {
     pub self_guard: bool,
     /// Inside a `.blocking(..)` escape-hatch closure.
     pub escaped: bool,
+    /// A bus send (`send_envelope(..)`, `send_unreliable(..)`, or `.send(..)`
+    /// on a receiver named `bus`/`rep`). Under chaos its retry/ack path can
+    /// wait on the receiver, so it must not run under a guard; it is
+    /// virtual-time aware, so it never hangs the seeded clock.
+    pub bus_send: bool,
 }
 
 /// One call site inside a function body.
@@ -143,10 +150,6 @@ pub struct FnEffects {
     /// Locks acquired anywhere in this function.
     pub acquired: BTreeSet<String>,
     pub calls: Vec<CallSite>,
-    /// (line, locks held) for each bus send performed under a lock.
-    pub sends: Vec<(u32, Vec<String>)>,
-    /// Whether the function performs a bus send at all.
-    pub sends_any: bool,
     /// Direct lock-order edges `held -> newly acquired` with the line.
     pub edges: Vec<(String, String, u32)>,
     pub blocking: Vec<BlockingOp>,
@@ -334,8 +337,6 @@ fn scan_fn(
         line: f.line,
         acquired: BTreeSet::new(),
         calls: Vec::new(),
-        sends: Vec::new(),
-        sends_any: false,
         edges: Vec::new(),
         blocking: Vec::new(),
         constructions: Vec::new(),
@@ -493,11 +494,19 @@ fn scan_fn(
             && toks[i - 1].is(".")
             && SEND_RECEIVERS.contains(&toks[i - 2].text.as_str());
         if is_named_send || is_method_send {
-            info.sends_any = true;
-            if !guards.is_empty() {
-                let holding: Vec<String> = guards.iter().map(|g| g.lock.clone()).collect();
-                info.sends.push((t.line, holding));
-            }
+            info.blocking.push(BlockingOp {
+                what: if is_method_send {
+                    format!("{}.send(..)", toks[i - 2].text)
+                } else {
+                    format!("{}(..)", t.text)
+                },
+                line: t.line,
+                holding: guards.iter().map(|g| g.lock.clone()).collect(),
+                released: Vec::new(),
+                self_guard: false,
+                escaped: escaped_at(i),
+                bus_send: true,
+            });
             i += 1;
             continue;
         }
@@ -567,6 +576,7 @@ fn scan_fn(
                     released,
                     self_guard,
                     escaped: escaped_at(i),
+                    bus_send: false,
                 });
                 i += 1;
                 continue;

@@ -5,10 +5,9 @@
 //! the invariants the Rust compiler cannot see but the paper's correctness
 //! story depends on:
 //!
-//! - **Lock-order analysis** (`LOCK_ORDER_CYCLE`, `LOCK_ACROSS_SEND`):
-//!   acquisition sites per function, an inter-procedural lock graph, cycle
-//!   detection, and no bus send while holding a guard (§V-B asynchronous
-//!   coordination must never deadlock a live adjustment under chaos retries).
+//! - **Lock-order analysis** (`LOCK_ORDER_CYCLE`): acquisition sites per
+//!   function, an inter-procedural lock graph, and cycle detection (§V-B
+//!   asynchronous coordination must never deadlock a live adjustment).
 //! - **Protocol exhaustiveness** (`PROTOCOL_UNHANDLED_MSG`,
 //!   `PROTOCOL_UNEMITTED_EVENT`, `PROTOCOL_UNCONSTRUCTED_ERROR`): every
 //!   `RtMsg` variant dispatched, every `EventKind` emitted, every `ElanError`
@@ -19,20 +18,19 @@
 //!   non-test runtime code without a justified waiver.
 //! - **Magic numbers** (`MAGIC_NUMBER`): reliability bounds live in named
 //!   consts, not literals.
-//! - **Wall-clock discipline** (`WALL_CLOCK`): inside `elan-rt`, only
-//!   `time.rs` may read the OS clock or block the scheduler; everything
-//!   else routes through `TimeSource`, test code included, so seeded
-//!   virtual-time runs stay deterministic (DESIGN.md §12).
 //! - **Network-IO confinement** (`NETWORK_IO`): inside `elan-rt`, only
 //!   `transport/` may open sockets or name socket types; everything else
 //!   talks to peers through a `Transport` behind the bus, so every wire
 //!   byte goes through the framed, CRC-checked codec (DESIGN.md §15).
-//! - **Blocking under lock** (`BLOCKING_UNDER_LOCK`): no OS-blocking op
-//!   (stream IO, `join()`, `accept()`, condvar waits, raw `recv`) while a
-//!   guard is live, directly or through the call graph (DESIGN.md §16).
-//! - **Virtual-time safety** (`VIRTUAL_TIME_UNSAFE`): real blocking ops
-//!   reachable from runtime entry points without the `blocking()` escape
-//!   hatch hang the seeded scheduler (DESIGN.md §12/§16).
+//! - **Blocking under lock** (`BLOCKING_UNDER_LOCK`): no blocking op
+//!   (stream IO, `join()`, `accept()`, condvar waits, raw `recv`, bus
+//!   sends) while a guard is live, directly or through the call graph; a
+//!   chaos retry must never wedge a live adjustment (§V-B, DESIGN.md §16).
+//! - **Virtual-time safety** (`VIRTUAL_TIME_UNSAFE`): inside `elan-rt`,
+//!   only `time.rs` may read the OS clock or sleep, test code included,
+//!   and real blocking ops reachable from runtime entry points without the
+//!   `blocking()` escape hatch hang the seeded scheduler (DESIGN.md
+//!   §12/§16).
 //! - **Term-fenced sends** (`TERM_FENCED_SEND`): AM-originated authority
 //!   messages carry a fencing term and only flow on `persist_fenced`-
 //!   guarded paths (DESIGN.md §13/§16).
@@ -63,7 +61,6 @@ pub mod rules {
     pub mod persist;
     pub mod protocol;
     pub mod vtime;
-    pub mod wallclock;
     pub mod wirecompat;
 }
 pub mod waiver;
@@ -85,7 +82,6 @@ pub fn run_all(ws: &Workspace) -> Result<Vec<Diagnostic>, String> {
     diags.extend(rules::persist::run(ws));
     diags.extend(rules::panics::run(ws));
     diags.extend(rules::magic::run(ws));
-    diags.extend(rules::wallclock::run(ws));
     diags.extend(rules::netio::run(ws));
     diags.extend(rules::blocking::run(ws, &eng));
     diags.extend(rules::vtime::run(ws, &eng));
@@ -119,7 +115,9 @@ pub struct FixtureResult {
 
 /// Run the fixture suite: every `fixtures/*.rs` file declares its expected
 /// rule(s) in `// expect: RULE_ID` header lines; each expected rule must fire
-/// exactly once and no other rule may fire at all.
+/// exactly once and no other rule may fire at all. Every rule in
+/// [`report::rules::ALL`] must be expected by at least one fixture, so no
+/// rule can silently stop firing.
 pub fn self_test(root: &Path) -> Result<Vec<FixtureResult>, String> {
     let dir = root.join("crates/elan-verify/fixtures");
     let mut paths: Vec<PathBuf> = fs::read_dir(&dir)
@@ -166,6 +164,14 @@ pub fn self_test(root: &Path) -> Result<Vec<FixtureResult>, String> {
             fired,
             pass,
         });
+    }
+    let uncovered: Vec<&str> = report::rules::ALL
+        .iter()
+        .copied()
+        .filter(|rule| !results.iter().any(|r| r.expected.iter().any(|e| e == rule)))
+        .collect();
+    if !uncovered.is_empty() {
+        return Err(format!("no fixture expects rule(s) {uncovered:?}"));
     }
     Ok(results)
 }

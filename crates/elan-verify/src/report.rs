@@ -6,14 +6,12 @@ use std::fmt::Write as _;
 /// fixture `// expect:` headers, and CI logs — treat them as API.
 pub mod rules {
     pub const LOCK_ORDER_CYCLE: &str = "LOCK_ORDER_CYCLE";
-    pub const LOCK_ACROSS_SEND: &str = "LOCK_ACROSS_SEND";
     pub const PROTOCOL_UNHANDLED_MSG: &str = "PROTOCOL_UNHANDLED_MSG";
     pub const PROTOCOL_UNEMITTED_EVENT: &str = "PROTOCOL_UNEMITTED_EVENT";
     pub const PROTOCOL_UNCONSTRUCTED_ERROR: &str = "PROTOCOL_UNCONSTRUCTED_ERROR";
     pub const PERSIST_BEFORE_ACT: &str = "PERSIST_BEFORE_ACT";
     pub const PANIC_HYGIENE: &str = "PANIC_HYGIENE";
     pub const MAGIC_NUMBER: &str = "MAGIC_NUMBER";
-    pub const WALL_CLOCK: &str = "WALL_CLOCK";
     pub const NETWORK_IO: &str = "NETWORK_IO";
     pub const BLOCKING_UNDER_LOCK: &str = "BLOCKING_UNDER_LOCK";
     pub const VIRTUAL_TIME_UNSAFE: &str = "VIRTUAL_TIME_UNSAFE";
@@ -21,16 +19,14 @@ pub mod rules {
     pub const WIRE_COMPAT: &str = "WIRE_COMPAT";
 
     /// All rule IDs, for `--self-test` cross-checking.
-    pub const ALL: [&str; 14] = [
+    pub const ALL: [&str; 12] = [
         LOCK_ORDER_CYCLE,
-        LOCK_ACROSS_SEND,
         PROTOCOL_UNHANDLED_MSG,
         PROTOCOL_UNEMITTED_EVENT,
         PROTOCOL_UNCONSTRUCTED_ERROR,
         PERSIST_BEFORE_ACT,
         PANIC_HYGIENE,
         MAGIC_NUMBER,
-        WALL_CLOCK,
         NETWORK_IO,
         BLOCKING_UNDER_LOCK,
         VIRTUAL_TIME_UNSAFE,

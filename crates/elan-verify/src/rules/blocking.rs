@@ -1,12 +1,12 @@
-//! Blocking-under-lock detection (BLOCKING_UNDER_LOCK): no OS-blocking
+//! Blocking-under-lock detection (BLOCKING_UNDER_LOCK): no blocking
 //! operation — stream reads/writes, `join()`, `accept()`, condvar waits,
-//! raw channel `recv` — may run while a mutex/rwlock guard is live,
-//! whether the op is in the function itself or transitively reachable
-//! through the call graph. This generalises LOCK_ACROSS_SEND from "bus
-//! send under a guard" to "anything that can park the thread under a
-//! guard": the socket hub's route-map lock plus a peer that stops
-//! reading is exactly how an elastic adjustment wedges every other
-//! connection (DESIGN.md §16).
+//! raw channel `recv`, or a bus send — may run while a mutex/rwlock guard
+//! is live, whether the op is in the function itself or transitively
+//! reachable through the call graph. The socket hub's route-map lock plus
+//! a peer that stops reading is exactly how an elastic adjustment wedges
+//! every other connection; a bus send under a guard is the same hazard,
+//! since a chaos-injected resend or slow receiver extends the critical
+//! section unboundedly (§V-B, DESIGN.md §16).
 //!
 //! Two deliberate exemptions, both computed by the engine:
 //! - An op whose *receiver* is the live guard itself (`s.write_all(..)`
@@ -16,22 +16,33 @@
 //! - A condvar wait *releases* every guard named in its argument list
 //!   (`cvar.wait(&mut st)`), so only the remaining guards count.
 
-use crate::engine::{format_path, Engine, Hop};
+use crate::engine::{format_path, BlockingOp, Engine, Hop};
 use crate::model::Workspace;
 use crate::report::{rules, Diagnostic};
 
 const HINT: &str = "hoist the blocking op out of the critical section: clone what you \
-     need out of the guard, drop it, then block (see DESIGN.md §16)";
+     need out of the guard, drop it, then block or send (see DESIGN.md §16)";
+
+/// Renders an op for messages, e.g. OS-blocking `write_all(..)` or bus
+/// send `rep.send(..)`.
+fn label(b: &BlockingOp) -> String {
+    let kind = if b.bus_send {
+        "bus send"
+    } else {
+        "OS-blocking"
+    };
+    format!("{kind} `{}`", b.what)
+}
 
 pub fn run(ws: &Workspace, eng: &Engine) -> Vec<Diagnostic> {
-    // Reach set: any blocking op counts, self-guard or escaped included —
-    // a `blocking()` closure still parks the OS thread while the *caller's*
-    // guard is held, and a self-guard write still blocks callers holding
-    // other locks.
+    // Reach set: any blocking op counts, bus sends, self-guard or escaped
+    // included — a `blocking()` closure still parks the OS thread while the
+    // *caller's* guard is held, and a self-guard write still blocks callers
+    // holding other locks.
     let direct: Vec<Option<(String, u32)>> = eng
         .fns
         .iter()
-        .map(|f| f.blocking.first().map(|b| (b.what.clone(), b.line)))
+        .map(|f| f.blocking.first().map(|b| (label(b), b.line)))
         .collect();
     let paths = eng.reach_paths(ws, &direct, &|_| false, false);
 
@@ -58,11 +69,7 @@ pub fn run(ws: &Workspace, eng: &Engine) -> Vec<Diagnostic> {
                 b.line,
                 f.qual.clone(),
                 held.join(","),
-                format!(
-                    "OS-blocking `{}` while holding lock(s) [{}]",
-                    b.what,
-                    held.join(", ")
-                ),
+                format!("{} while holding lock(s) [{}]", label(b), held.join(", ")),
                 HINT,
             ));
         }
@@ -91,7 +98,7 @@ pub fn run(ws: &Workspace, eng: &Engine) -> Vec<Diagnostic> {
                     f.qual.clone(),
                     c.holding.join(","),
                     format!(
-                        "OS-blocking `{detail}` reachable while holding lock(s) [{}]: {}",
+                        "{detail} reachable while holding lock(s) [{}]: {}",
                         c.holding.join(", "),
                         format_path(&full, detail)
                     ),
@@ -201,6 +208,65 @@ mod tests {
     #[test]
     fn no_lock_no_diag() {
         let d = check("fn f(sock: &mut W) { sock.write_all(b); }");
+        assert!(d.is_empty(), "got {d:?}");
+    }
+
+    #[test]
+    fn send_under_lock_fires() {
+        let d = check(
+            "struct S { a: Mutex<u32>, rep: R }\n\
+             impl S { fn f(&self) { let g = self.a.lock(); self.rep.send(1); } }",
+        );
+        assert_eq!(
+            d.iter()
+                .filter(|d| d.rule == rules::BLOCKING_UNDER_LOCK)
+                .count(),
+            1,
+            "got {d:?}"
+        );
+    }
+
+    #[test]
+    fn transitive_send_under_lock_fires() {
+        let d = check(
+            "struct S { a: Mutex<u32>, bus: B }\n\
+             impl S {\n\
+               fn f(&self) { let g = self.a.lock(); self.notify(); }\n\
+               fn notify(&self) { send_envelope(to, m); }\n\
+             }",
+        );
+        assert_eq!(d.len(), 1, "got {d:?}");
+        assert!(
+            d[0].message.contains("bus send `send_envelope(..)`"),
+            "{}",
+            d[0].message
+        );
+    }
+
+    #[test]
+    fn drop_releases_guard() {
+        let d = check(
+            "struct S { a: Mutex<u32>, rep: R }\n\
+             impl S { fn f(&self) { let g = self.a.lock(); drop(g); self.rep.send(1); } }",
+        );
+        assert!(d.is_empty(), "got {d:?}");
+    }
+
+    #[test]
+    fn temp_guard_released_at_statement_end() {
+        let d = check(
+            "struct S { a: Mutex<u32>, rep: R }\n\
+             impl S { fn f(&self) { self.a.lock().push(1); self.rep.send(1); } }",
+        );
+        assert!(d.is_empty(), "got {d:?}");
+    }
+
+    #[test]
+    fn channel_send_is_not_bus_send() {
+        let d = check(
+            "struct S { a: Mutex<u32> }\n\
+             impl S { fn f(&self, tx: Sender<u32>) { let g = self.a.lock(); tx.send(1); } }",
+        );
         assert!(d.is_empty(), "got {d:?}");
     }
 }

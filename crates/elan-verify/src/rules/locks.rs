@@ -1,5 +1,6 @@
-//! Lock-order analysis (LOCK_ORDER_CYCLE) and lock-across-send detection
-//! (LOCK_ACROSS_SEND), built on the shared reachability engine.
+//! Lock-order analysis (LOCK_ORDER_CYCLE), built on the shared
+//! reachability engine. Bus sends under a guard are BLOCKING_UNDER_LOCK
+//! findings (`rules/blocking.rs`).
 //!
 //! Heuristics, documented in DESIGN.md §11/§16:
 //! - A lock's identity is the field/binding name receiving `.lock()` (always
@@ -17,10 +18,6 @@
 //! - The call graph is name-based, same-crate preferred with a cross-crate
 //!   fallback ([`Engine::resolve`]); a function's transitive lock set flows
 //!   to its callers via fixpoint, producing `held -> callee's locks` edges.
-//! - A bus send is `send_envelope(..)`, `send_unreliable(..)`, or `.send(..)`
-//!   on a receiver named `bus`/`rep` (plain channel `tx.send` is not a bus
-//!   send). Sending while holding any lock — directly or via a callee that
-//!   transitively sends — is a diagnostic.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -29,13 +26,12 @@ use crate::model::Workspace;
 use crate::report::{rules, Diagnostic};
 
 pub fn run(ws: &Workspace, eng: &Engine) -> Vec<Diagnostic> {
-    // Fixpoint: transitive lock sets and transitive send flags over the
-    // call graph. Propagation follows *every* call site (a lock-free helper
-    // that itself locks still contributes to its callers' lock sets).
+    // Fixpoint: transitive lock sets over the call graph. Propagation
+    // follows *every* call site (a lock-free helper that itself locks still
+    // contributes to its callers' lock sets).
     let n = eng.fns.len();
     let mut trans_locks: Vec<BTreeSet<String>> =
         eng.fns.iter().map(|i| i.acquired.clone()).collect();
-    let mut trans_sends: Vec<bool> = eng.fns.iter().map(|i| i.sends_any).collect();
     loop {
         let mut changed = false;
         for idx in 0..n {
@@ -53,10 +49,6 @@ pub fn run(ws: &Workspace, eng: &Engine) -> Vec<Diagnostic> {
                         trans_locks[idx].extend(add);
                         changed = true;
                     }
-                    if trans_sends[g] && !trans_sends[idx] {
-                        trans_sends[idx] = true;
-                        changed = true;
-                    }
                 }
             }
         }
@@ -68,7 +60,6 @@ pub fn run(ws: &Workspace, eng: &Engine) -> Vec<Diagnostic> {
     // Edge set: direct edges plus call-derived edges (held -> callee locks).
     // first site wins for attribution.
     let mut edges: BTreeMap<(String, String), (usize, u32, String)> = BTreeMap::new();
-    let mut diags = Vec::new();
     for (idx, info) in eng.fns.iter().enumerate() {
         for (a, b, line) in &info.edges {
             edges.entry((a.clone(), b.clone())).or_insert((
@@ -93,39 +84,12 @@ pub fn run(ws: &Workspace, eng: &Engine) -> Vec<Diagnostic> {
                         }
                     }
                 }
-                if trans_sends[g] && !c.holding.is_empty() {
-                    diags.push(Diagnostic::new(
-                        rules::LOCK_ACROSS_SEND,
-                        ws.files[info.file].rel.clone(),
-                        c.line,
-                        info.qual.clone(),
-                        c.holding.join(","),
-                        format!(
-                            "bus send reachable via `{}` while holding lock(s) [{}]",
-                            c.callee,
-                            c.holding.join(", ")
-                        ),
-                        "release the guard (drop(..) or end the scope) before sending; a \
-                         chaos-injected resend can block on the held lock",
-                    ));
-                }
             }
-        }
-        for (line, holding) in &info.sends {
-            diags.push(Diagnostic::new(
-                rules::LOCK_ACROSS_SEND,
-                ws.files[info.file].rel.clone(),
-                *line,
-                info.qual.clone(),
-                holding.join(","),
-                format!("bus send while holding lock(s) [{}]", holding.join(", ")),
-                "release the guard (drop(..) or end the scope) before sending; a \
-                 chaos-injected resend can block on the held lock",
-            ));
         }
     }
 
     // Cycle detection over the lock graph.
+    let mut diags = Vec::new();
     for cycle in find_cycles(&edges) {
         // Attribute the cycle to the edge closing it.
         let closing = (cycle[cycle.len() - 1].clone(), cycle[0].clone());
@@ -276,39 +240,6 @@ mod tests {
     }
 
     #[test]
-    fn drop_releases_guard() {
-        let d = check(
-            "struct S { a: Mutex<u32>, rep: R }\n\
-             impl S { fn f(&self) { let g = self.a.lock(); drop(g); self.rep.send(1); } }",
-        );
-        assert!(d.is_empty(), "got {d:?}");
-    }
-
-    #[test]
-    fn send_under_lock_fires() {
-        let d = check(
-            "struct S { a: Mutex<u32>, rep: R }\n\
-             impl S { fn f(&self) { let g = self.a.lock(); self.rep.send(1); } }",
-        );
-        assert_eq!(
-            d.iter()
-                .filter(|d| d.rule == rules::LOCK_ACROSS_SEND)
-                .count(),
-            1,
-            "got {d:?}"
-        );
-    }
-
-    #[test]
-    fn temp_guard_released_at_statement_end() {
-        let d = check(
-            "struct S { a: Mutex<u32>, rep: R }\n\
-             impl S { fn f(&self) { self.a.lock().push(1); self.rep.send(1); } }",
-        );
-        assert!(d.is_empty(), "got {d:?}");
-    }
-
-    #[test]
     fn interprocedural_cycle() {
         let d = check(
             "struct S { a: Mutex<u32>, b: Mutex<u32> }\n\
@@ -341,14 +272,5 @@ mod tests {
             d.iter().any(|d| d.rule == rules::LOCK_ORDER_CYCLE),
             "expected cycle through the lock-free helper, got {d:?}"
         );
-    }
-
-    #[test]
-    fn channel_send_is_not_bus_send() {
-        let d = check(
-            "struct S { a: Mutex<u32> }\n\
-             impl S { fn f(&self, tx: Sender<u32>) { let g = self.a.lock(); tx.send(1); } }",
-        );
-        assert!(d.is_empty(), "got {d:?}");
     }
 }

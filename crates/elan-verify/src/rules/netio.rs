@@ -7,10 +7,11 @@
 //! (DESIGN.md §15). One stray `TcpStream::connect` in a worker loop is
 //! an untestable, chaos-invisible side channel.
 //!
-//! Like WALL_CLOCK, **test code is not exempt**: a test that opens its
-//! own socket bypasses the framing, CRC, and reconnect semantics the
-//! transport tests exist to pin down. The only exemption is
-//! directory-level — the transport implementations themselves.
+//! Like VIRTUAL_TIME_UNSAFE's clock scan, **test code is not exempt**: a
+//! test that opens its own socket bypasses the framing, CRC, and
+//! reconnect semantics the transport tests exist to pin down. The only
+//! exemption is directory-level — the transport implementations
+//! themselves.
 
 use crate::model::Workspace;
 use crate::report::{rules, Diagnostic};

@@ -83,25 +83,6 @@ fn wire_renumber_fixture_is_caught() {
 }
 
 #[test]
-fn reachability_rules_are_covered_by_fixtures() {
-    // The interprocedural rules each need a known-bad seed so the engine
-    // cannot silently stop resolving calls.
-    let results = self_test(&repo_root()).expect("fixture suite runs");
-    let covered: Vec<&str> = results
-        .iter()
-        .flat_map(|r| r.expected.iter().map(String::as_str))
-        .collect();
-    for rule in [
-        "BLOCKING_UNDER_LOCK",
-        "VIRTUAL_TIME_UNSAFE",
-        "TERM_FENCED_SEND",
-        "WIRE_COMPAT",
-    ] {
-        assert!(covered.contains(&rule), "no fixture covers {rule}");
-    }
-}
-
-#[test]
 fn reachability_diagnostics_print_call_paths() {
     // The path attribution is part of the contract: a transitive finding
     // must name every hop with file:line, not just the sink.

@@ -5,7 +5,7 @@ use proptest::prelude::*;
 use elan::core::data::{ChunkSampler, SerialSampler};
 use elan::core::scaling::{hybrid_scale, ProgressiveLrRamp, ScalingMode};
 use elan::rt::{ChaosPolicy, ElasticRuntime, EventKind, RuntimeConfig, TimeSource};
-use elan::sim::{Scheduler, SimDuration, SimTime};
+use elan::sim::SimDuration;
 use elan::topology::{ClusterSpec, GpuId, LinkLevel, ReplicationPlanner};
 
 proptest! {
@@ -147,25 +147,6 @@ proptest! {
         }
         let restored = SerialSampler::restore(dataset, ss.cursor(), ss.epoch());
         prop_assert_eq!(restored, ss);
-    }
-
-    /// The event queue pops in non-decreasing time order with FIFO ties.
-    #[test]
-    fn scheduler_orders_events(times in prop::collection::vec(0u64..10_000, 1..200)) {
-        let mut s = Scheduler::new();
-        for (i, &t) in times.iter().enumerate() {
-            s.schedule_at(SimTime::from_nanos(t), i);
-        }
-        let mut last: Option<(SimTime, usize)> = None;
-        while let Some((at, idx)) = s.pop() {
-            if let Some((lt, lidx)) = last {
-                prop_assert!(at >= lt);
-                if at == lt {
-                    prop_assert!(idx > lidx, "FIFO tie-break violated");
-                }
-            }
-            last = Some((at, idx));
-        }
     }
 
     /// Duration arithmetic: associativity of sums and scaling bounds.
