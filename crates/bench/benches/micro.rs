@@ -1,5 +1,6 @@
 //! Criterion micro-benchmarks of Elan's hot paths: replication planning,
-//! the cost models, the hybrid scaling decision and the data samplers.
+//! the cost models, the hybrid scaling decision, the data samplers and
+//! the live training worker's per-iteration step.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
@@ -8,6 +9,7 @@ use elan_core::elasticity::{AdjustmentRequest, ElasticitySystem};
 use elan_core::scaling::hybrid_scale;
 use elan_core::ElanSystem;
 use elan_models::{zoo, PerfModel};
+use elan_rt::worker::simulate_training;
 use elan_sim::Bytes;
 use elan_topology::{BandwidthModel, ClusterSpec, GpuId, ReplicationPlanner};
 
@@ -92,12 +94,23 @@ fn bench_data_samplers(c: &mut Criterion) {
     });
 }
 
+/// The worker's O(len) hot path at the `steady-1m` state size (1 Mi
+/// elements): per iteration, two workers' gradients, their sum, and the
+/// SGD step with its parameter checksum — the same code `run_worker`
+/// runs, replayed single-threaded over eight iterations.
+fn bench_worker_step(c: &mut Criterion) {
+    c.bench_function("worker_step_1m", |b| {
+        b.iter(|| simulate_training(2, 8, black_box(1 << 20), 0.05, 128))
+    });
+}
+
 criterion_group!(
     name = benches;
     config = Criterion::default().sample_size(20).measurement_time(std::time::Duration::from_secs(2)).warm_up_time(std::time::Duration::from_millis(500));
     targets = bench_replication_planning,
         bench_models,
         bench_adjustment_pricing,
-        bench_data_samplers
+        bench_data_samplers,
+        bench_worker_step
 );
 criterion_main!(benches);

@@ -1,6 +1,7 @@
 //! The mid-range work-stealing path: cache-blocked cooperative reduction
-//! over one shared chunk cursor, plus the shared chunk kernel and the
-//! world-coupled chunk-size derivation used by every cooperative path.
+//! over one shared chunk cursor, plus the reduce kernel every path
+//! shares and the world-coupled chunk-size derivation used by every
+//! cooperative path.
 //!
 //! When the last member arrives, the round's inputs are split into
 //! cache-sized chunks ([`ChunkPlan`]); every blocked waiter (plus the
@@ -85,8 +86,9 @@ impl RoundWork {
 }
 
 /// Reduces the element `range` of every input (ascending worker-id
-/// order) into the accumulator at `out_base`: the shared chunk kernel of
-/// the chunked and hierarchical paths.
+/// order) into the accumulator at `out_base`: the one reduce kernel of
+/// every path (flat reduces the full range in one call; chunked and
+/// hierarchical reduce one claimed chunk per call).
 ///
 /// # Safety
 ///
@@ -97,20 +99,31 @@ impl RoundWork {
 /// its lifecycle contract (owners parked for the whole round).
 pub(super) unsafe fn reduce_range(inputs: &[SharedSlice], out_base: *mut f32, range: Range<usize>) {
     let out = std::slice::from_raw_parts_mut(out_base.add(range.start), range.len());
-    // Sum in ascending worker-id order: initialize from the first
-    // contribution (no zeroing pass), then accumulate. Contributions are
-    // fused eight (then four, two, one) to a sweep so the accumulator
-    // chunk is read and written once per *eight* inputs instead of once
-    // per input — at large vectors the round is memory-bound and
-    // accumulator traffic is the dominant term. Per element the addition
-    // sequence is still `((first + a) + b) + …` in ascending worker-id
-    // order (Rust evaluates the chain left-to-right), i.e. the exact
-    // sequence of `reference_sum`, so fusing changes traffic, not bits.
-    // The zipped-iterator bodies (rather than `a[i]` indexing) let the
+    // Sum in ascending worker-id order. The first sweep writes
+    // `first + second` straight into the accumulator (no zeroing pass,
+    // no copy pass); later contributions are fused eight (then four,
+    // two, one) to a sweep so the accumulator chunk is read and written
+    // once per *eight* inputs instead of once per input — at large
+    // vectors the round is memory-bound and accumulator traffic is the
+    // dominant term. Per element the addition sequence is still
+    // `((first + a) + b) + …` in ascending worker-id order (Rust
+    // evaluates the chain left-to-right), i.e. the exact sequence of
+    // `reference_sum`, so fusing changes traffic, not bits. The
+    // zipped-iterator bodies (rather than `a[i]` indexing) let the
     // compiler prove every access in-bounds and vectorize the sweeps.
     let n = out.len();
-    out.copy_from_slice(&inputs[0].slice()[range.clone()]);
+    let first = &inputs[0].slice()[range.clone()][..n];
     let mut rest = &inputs[1..];
+    match rest.first() {
+        Some(second) => {
+            let second = &second.slice()[range.clone()][..n];
+            for (o, (a, b)) in out.iter_mut().zip(first.iter().zip(second.iter())) {
+                *o = a + b;
+            }
+            rest = &rest[1..];
+        }
+        None => out.copy_from_slice(first),
+    }
     while rest.len() >= 8 {
         let a = &rest[0].slice()[range.clone()][..n];
         let b = &rest[1].slice()[range.clone()][..n];

@@ -10,12 +10,13 @@
 //! paper's data plane avoids (§IV, §VI). This module replaces it with an
 //! adaptive front-end that dispatches each round on `(world, len)`:
 //!
-//! - **[`flat`] fast path** (small messages): the last arriver reduces
-//!   all contributions inline under the group lock — no chunk cursor, no
-//!   per-chunk atomics, no helper handoff. Below the crossover the fixed
-//!   cost of publishing cooperative work exceeds the reduction itself,
-//!   which is why the chunked path used to *lose* to the naive baseline
-//!   at `len = 1024`.
+//! - **flat fast path** (small messages): the last arriver reduces all
+//!   contributions inline under the group lock, with the same kernel the
+//!   cooperative paths run per chunk — no chunk cursor, no per-chunk
+//!   atomics, no helper handoff. Below the crossover the fixed cost of
+//!   publishing cooperative work exceeds the reduction itself, which is
+//!   why the chunked path used to *lose* to the naive baseline at
+//!   `len = 1024`.
 //! - **[`chunked`] work-stealing path** (mid-range): the round's inputs
 //!   are split into cache-sized chunks whose size adapts to the world
 //!   size ([`adaptive_chunk_elems`]); *every blocked waiter* (plus the
@@ -78,7 +79,6 @@ use crate::obs::{EventJournal, EventKind};
 use crate::time::{std_to_sim, TimeSource};
 
 pub mod chunked;
-pub mod flat;
 pub mod hier;
 pub mod tune;
 
@@ -682,15 +682,17 @@ impl CommGroup {
             // round-buffer handoff, no per-chunk atomics — the entire
             // round completes before the lock drops.
             let (buf, out_ptr) = self.acquire_accumulator(st);
+            self.stage_inputs(st);
             // SAFETY: `buf` is uniquely owned (checked by
-            // `acquire_accumulator`) and we hold the group lock; the
-            // contributions are borrowed slices of contributors parked
-            // for the whole round (see `SharedSlice`).
+            // `acquire_accumulator`) and spans `self.len` elements; we
+            // hold the group lock and publish no work, so no helper reads
+            // or writes the slots; `stage_inputs` just staged the
+            // non-empty, `self.len`-long contributions, borrowed slices
+            // of contributors parked for the whole round (see
+            // `SharedSlice`).
             unsafe {
-                let out = std::slice::from_raw_parts_mut(out_ptr, self.len);
-                flat::reduce_into(&st.contributions, out);
+                chunked::reduce_range(&*self.slots.inputs.get(), out_ptr, 0..self.len);
             }
-            st.contributions.clear();
             if let Some(journal) = self.journal.get() {
                 journal.emit(EventKind::AllreducePath {
                     round,
@@ -740,17 +742,12 @@ impl CommGroup {
         let groups = work.n_groups() as u32;
 
         let (buf, out_ptr) = self.acquire_accumulator(st);
-        // SAFETY: no helper holds a claimed chunk (the previous round's
-        // chunks were all done before its result published, and a new
-        // round cannot publish before the previous result does), so we
-        // have exclusive access to `inputs` and `work` under the lock.
+        self.stage_inputs(st);
+        // SAFETY: as in `stage_inputs`, no helper holds a claimed chunk,
+        // so we have exclusive access to `work` under the lock.
         unsafe {
-            let inputs = &mut *self.slots.inputs.get();
-            inputs.clear();
-            inputs.extend(st.contributions.iter().map(|(_, s)| *s));
             *self.slots.work.get() = Some(work);
         }
-        st.contributions.clear();
         self.slots.out.store(out_ptr, Ordering::Relaxed);
         self.slots.done.store(0, Ordering::Relaxed);
         // The Release reset publishes `inputs`/`work`/`out`/`done` to
@@ -775,6 +772,19 @@ impl CommGroup {
         // Wake parked waiters so they become reduction helpers.
         self.cvar.notify_all();
         self.wake_virtual();
+    }
+
+    /// Moves the round's contributions (sorted by worker id) into
+    /// `slots.inputs`, the input list of the reduce kernel on every path.
+    /// Lock held, before the round's work is published.
+    fn stage_inputs(&self, st: &mut GroupState) {
+        // SAFETY: no helper holds a claimed chunk (the previous round's
+        // chunks were all done before its result published, and a new
+        // round cannot publish before the previous result does), so we
+        // have exclusive access to `inputs` under the lock.
+        let inputs = unsafe { &mut *self.slots.inputs.get() };
+        inputs.clear();
+        inputs.extend(st.contributions.drain(..).map(|(_, s)| s));
     }
 
     /// The chunked path's work plan for a `world`-member round.

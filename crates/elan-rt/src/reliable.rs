@@ -11,8 +11,12 @@
 //!   production, virtual time in simulation) with an optional give-up
 //!   budget — the runtime's failure detector,
 //! - automatic transport acks ([`RtMsg::MsgAck`]) for received messages,
-//! - a [`BoundedDedupFilter`] suppressing chaos- and resend-duplicates.
+//! - a [`BoundedDedupFilter`] suppressing chaos- and resend-duplicates,
+//! - [`ReliableEndpoint::absorb_acks`], which settles the tracker without
+//!   delivering anything, for an owner that sends between receives (a
+//!   training worker after streaming a snapshot).
 
+use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -135,6 +139,9 @@ pub struct ReliableEndpoint {
     retry: RetryTracker<(EndpointId, RtMsg)>,
     dedup: BoundedDedupFilter,
     metrics: Arc<RtMetrics>,
+    /// Envelopes [`absorb_acks`](Self::absorb_acks) drained past, in
+    /// arrival order; the receive calls serve them before the endpoint.
+    stash: VecDeque<Envelope>,
 }
 
 impl std::fmt::Debug for ReliableEndpoint {
@@ -168,6 +175,7 @@ impl ReliableEndpoint {
             retry,
             dedup: BoundedDedupFilter::default(),
             metrics,
+            stash: VecDeque::new(),
         }
     }
 
@@ -257,11 +265,37 @@ impl ReliableEndpoint {
         gave_up
     }
 
+    /// Settles the retry tracker with every acknowledgement already
+    /// queued, without delivering anything and without parking. Any
+    /// other envelope drained on the way is stashed, in order, for the
+    /// next [`recv_timeout`](Self::recv_timeout) or
+    /// [`try_recv`](Self::try_recv), which ack and deduplicate it then.
+    ///
+    /// An owner that sends reliably but receives only now and then (a
+    /// training worker between coordination boundaries) calls this
+    /// before [`tick`](Self::tick), so messages the peer has already
+    /// acknowledged are not resent.
+    pub fn absorb_acks(&mut self) {
+        while let Some(env) = self.endpoint.try_recv() {
+            match env.body {
+                RtMsg::MsgAck { of } => {
+                    self.retry.ack(of);
+                }
+                _ => self.stash.push_back(env),
+            }
+        }
+    }
+
     /// Receives the next *fresh* application message, waiting up to
     /// `timeout`. Transport acks are absorbed (they settle the retry
     /// tracker), incoming messages are acked automatically, and duplicates
     /// are suppressed. Returns `None` on timeout.
     pub fn recv_timeout(&mut self, timeout: Duration) -> Option<(EndpointId, RtMsg)> {
+        while let Some(env) = self.stash.pop_front() {
+            if let Some(msg) = self.accept(env) {
+                return Some(msg);
+            }
+        }
         let deadline = self.bus.time().deadline_after(timeout);
         loop {
             let now = self.bus.time().now();
@@ -270,40 +304,9 @@ impl ReliableEndpoint {
             }
             let remaining = sim_to_std(deadline - now);
             let env = self.endpoint.recv_timeout(remaining)?;
-            match &env.body {
-                RtMsg::MsgAck { of } => {
-                    self.retry.ack(*of);
-                    continue;
-                }
-                // Heartbeats are unreliable by design: no ack traffic.
-                RtMsg::Heartbeat { .. } => {}
-                _ => {
-                    // Ack first — even duplicates need re-acking, because a
-                    // resend means our previous ack was lost.
-                    let ack_id = self.ids.next_id();
-                    self.bus.send_envelope(
-                        env.from,
-                        Envelope {
-                            id: ack_id,
-                            from: self.endpoint.id(),
-                            attempt: 1,
-                            body: RtMsg::MsgAck { of: env.id },
-                        },
-                    );
-                }
+            if let Some(msg) = self.accept(env) {
+                return Some(msg);
             }
-            if !self.dedup.first_delivery(env.id) {
-                self.metrics.duplicates.inc();
-                // Heartbeat duplicates are pure chaos noise; keep them out
-                // of the journal so the ring retains adjustment events.
-                if !matches!(env.body, RtMsg::Heartbeat { .. }) {
-                    if let Some(journal) = self.bus.journal() {
-                        journal.emit(EventKind::DuplicateSuppressed { from: env.from });
-                    }
-                }
-                continue;
-            }
-            return Some((env.from, env.body));
         }
     }
 
@@ -318,37 +321,54 @@ impl ReliableEndpoint {
     /// [`recv_timeout`]: Self::recv_timeout
     pub fn try_recv(&mut self) -> Option<(EndpointId, RtMsg)> {
         loop {
-            let env = self.endpoint.try_recv()?;
-            match &env.body {
-                RtMsg::MsgAck { of } => {
-                    self.retry.ack(*of);
-                    continue;
-                }
-                RtMsg::Heartbeat { .. } => {}
-                _ => {
-                    let ack_id = self.ids.next_id();
-                    self.bus.send_envelope(
-                        env.from,
-                        Envelope {
-                            id: ack_id,
-                            from: self.endpoint.id(),
-                            attempt: 1,
-                            body: RtMsg::MsgAck { of: env.id },
-                        },
-                    );
-                }
+            let env = match self.stash.pop_front() {
+                Some(env) => env,
+                None => self.endpoint.try_recv()?,
+            };
+            if let Some(msg) = self.accept(env) {
+                return Some(msg);
             }
-            if !self.dedup.first_delivery(env.id) {
-                self.metrics.duplicates.inc();
-                if !matches!(env.body, RtMsg::Heartbeat { .. }) {
-                    if let Some(journal) = self.bus.journal() {
-                        journal.emit(EventKind::DuplicateSuppressed { from: env.from });
-                    }
-                }
-                continue;
-            }
-            return Some((env.from, env.body));
         }
+    }
+
+    /// The receive path of one envelope: an ack settles the tracker,
+    /// anything else but a heartbeat is acked back, and a duplicate is
+    /// suppressed. Returns the payload of a first delivery.
+    fn accept(&mut self, env: Envelope) -> Option<(EndpointId, RtMsg)> {
+        match &env.body {
+            RtMsg::MsgAck { of } => {
+                self.retry.ack(*of);
+                return None;
+            }
+            // Heartbeats are unreliable by design: no ack traffic.
+            RtMsg::Heartbeat { .. } => {}
+            _ => {
+                // Ack first — even duplicates need re-acking, because a
+                // resend means our previous ack was lost.
+                let ack_id = self.ids.next_id();
+                self.bus.send_envelope(
+                    env.from,
+                    Envelope {
+                        id: ack_id,
+                        from: self.endpoint.id(),
+                        attempt: 1,
+                        body: RtMsg::MsgAck { of: env.id },
+                    },
+                );
+            }
+        }
+        if !self.dedup.first_delivery(env.id) {
+            self.metrics.duplicates.inc();
+            // Heartbeat duplicates are pure chaos noise; keep them out
+            // of the journal so the ring retains adjustment events.
+            if !matches!(env.body, RtMsg::Heartbeat { .. }) {
+                if let Some(journal) = self.bus.journal() {
+                    journal.emit(EventKind::DuplicateSuppressed { from: env.from });
+                }
+            }
+            return None;
+        }
+        Some((env.from, env.body))
     }
 
     /// Messages awaiting acknowledgement.
@@ -420,6 +440,30 @@ mod tests {
         // ...AM absorbs the ack on its next receive attempt.
         assert!(am.recv_timeout(Duration::from_millis(50)).is_none());
         assert_eq!(am.pending(), 0);
+        time.deregister();
+    }
+
+    #[test]
+    fn absorb_acks_settles_the_tracker_and_stashes_the_rest() {
+        let (bus, time) = vbus(13, None);
+        let metrics = Arc::new(RtMetrics::default());
+        let (mut am, mut w) = pair(&bus, &metrics);
+        am.send(EndpointId::Worker(WorkerId(0)), RtMsg::Leave { term: 0 });
+        assert!(w.recv_timeout(Duration::from_millis(50)).is_some());
+        // Behind the worker's ack, two payloads the AM must not lose.
+        w.send(EndpointId::Am, RtMsg::Leave { term: 1 });
+        w.send(EndpointId::Am, RtMsg::Leave { term: 2 });
+        am.absorb_acks();
+        assert_eq!(am.pending(), 0, "the queued ack settled the tracker");
+        assert_eq!(w.pending(), 2, "stashed payloads are not acked yet");
+        // The stash is served first, in order, through the usual path.
+        assert!(matches!(am.try_recv(), Some((_, RtMsg::Leave { term: 1 }))));
+        assert!(matches!(
+            am.recv_timeout(Duration::from_millis(10)),
+            Some((_, RtMsg::Leave { term: 2 }))
+        ));
+        assert!(w.recv_timeout(Duration::from_millis(10)).is_none());
+        assert_eq!(w.pending(), 0, "both payloads were acked on delivery");
         time.deregister();
     }
 

@@ -2595,6 +2595,31 @@ mod tests {
     }
 
     #[test]
+    fn checkpoint_chunks_are_not_resent_between_boundaries() {
+        // Regression: a training worker used to read its inbox only at
+        // coordination boundaries, so the acks of a checkpoint it had
+        // streamed sat unread and every chunk was resent until the next
+        // boundary (1536 resends and 1536 duplicates for these 512
+        // chunks).
+        let mut cfg = RuntimeConfig::small(2);
+        cfg.param_elems = 65_536;
+        cfg.coordination_interval = 50;
+        cfg.compute_us = 5000;
+        let mut rt = ElasticRuntime::builder()
+            .config(cfg)
+            .time(TimeSource::virtual_seeded(7))
+            .start()
+            .unwrap();
+        rt.run_until_iteration(100);
+        let _ = rt.checkpoint();
+        let report = rt.shutdown();
+        assert_eq!(report.metrics.state_chunks, 512);
+        assert_eq!(report.metrics.resends, 0);
+        assert_eq!(report.metrics.duplicates, 0);
+        assert!(report.states_consistent());
+    }
+
+    #[test]
     fn data_cursor_replicates_exactly() {
         let mut rt = ElasticRuntime::builder().workers(2).start().unwrap();
         rt.run_until_iteration(10);

@@ -127,24 +127,73 @@ pub enum WorkerRole {
     },
 }
 
+/// Period of [`gradient`]'s values. Element `j` depends on `j` only
+/// through `(base + j) mod 2048` with a wrapping `u64` sum, and 2048
+/// divides 2^64, so the values repeat every 2048 elements.
+const GRAD_PERIOD: usize = 2048;
+
 /// Computes the synthetic gradient for `(worker, iteration)` — each
 /// worker's "data shard" yields a different, deterministic gradient.
+///
+/// Only the first period is computed; the rest of the buffer copies it.
 fn gradient(worker: WorkerId, iteration: u64, out: &mut [f32]) {
     let w = worker.0 as u64;
-    for (j, g) in out.iter_mut().enumerate() {
-        let x = (iteration
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(w.wrapping_mul(1442695040888963407))
-            .wrapping_add(j as u64))
-            % 2048;
+    let base = iteration
+        .wrapping_mul(6364136223846793005)
+        .wrapping_add(w.wrapping_mul(1442695040888963407));
+    let (head, tail) = out.split_at_mut(out.len().min(GRAD_PERIOD));
+    for (j, g) in head.iter_mut().enumerate() {
+        let x = base.wrapping_add(j as u64) % GRAD_PERIOD as u64;
         *g = (x as f32 / 2048.0) - 0.5;
     }
+    for block in tail.chunks_mut(GRAD_PERIOD) {
+        block.copy_from_slice(&head[..block.len()]);
+    }
+}
+
+/// One optimizer step: SGD with momentum on the averaged gradient
+/// `sum / world`. Returns [`checksum`] of the updated `params`, folded
+/// block by block in the same sweep, so publishing the step's checksum
+/// costs no second pass over the parameters.
+///
+/// # Panics
+///
+/// Panics if the three buffers differ in length.
+fn sgd_step(
+    params: &mut [f32],
+    momentum: &mut [f32],
+    sum: &[f32],
+    world: f32,
+    learning_rate: f32,
+) -> u64 {
+    assert!(
+        params.len() == momentum.len() && params.len() == sum.len(),
+        "sgd_step buffers differ in length"
+    );
+    let n = params.len();
+    let mut lanes = [0u32; LANES];
+    let mut step = |p: &mut [f32], m: &mut [f32], s: &[f32]| {
+        for ((w, m), &s) in p.iter_mut().zip(m.iter_mut()).zip(s) {
+            *m = 0.9 * *m + s / world;
+            *w -= learning_rate * *m;
+        }
+        fold_block(&mut lanes, p);
+    };
+    let mut p = params.chunks_exact_mut(LANES);
+    let mut m = momentum.chunks_exact_mut(LANES);
+    let mut s = sum.chunks_exact(LANES);
+    for ((p, m), s) in (&mut p).zip(&mut m).zip(&mut s) {
+        step(p, m, s);
+    }
+    step(p.into_remainder(), m.into_remainder(), s.remainder());
+    finish_lanes(&lanes, n)
 }
 
 /// Reference replay of the training computation: the parameters,
 /// momentum, and data cursor after `iterations` of data-parallel training
 /// on `world_size` workers — single-threaded, for verifying that the live
-/// runtime (and checkpoint/restore) is bit-exact.
+/// runtime (and checkpoint/restore) is bit-exact. It runs the same
+/// gradient and optimizer-step code as the live worker.
 pub fn simulate_training(
     world_size: u32,
     iterations: u64,
@@ -165,19 +214,59 @@ pub fn simulate_training(
                 *s += g;
             }
         }
-        let world = world_size as f32;
-        for ((w, m), &s) in params.iter_mut().zip(momentum.iter_mut()).zip(&sum) {
-            *m = 0.9 * *m + s / world;
-            *w -= learning_rate * *m;
-        }
+        sgd_step(
+            &mut params,
+            &mut momentum,
+            &sum,
+            world_size as f32,
+            learning_rate,
+        );
     }
     (params, momentum, iterations * total_batch as u64)
 }
 
-/// Bit-exact checksum of a float buffer.
+/// Lanes of the [`checksum`] fold.
+///
+/// The checksum is defined by the serial chain `acc = acc.rotl(7) ^ bits`
+/// from `acc = 0`. Rotation and XOR are linear over GF(2), so element `i`
+/// of an `n`-element buffer reaches the result rotated left by
+/// `7·(n−1−i)`, and a rotation of a `u64` depends only on its amount
+/// mod 64, hence only on `(n−1−i) mod 64`. XOR-ing each element's bits
+/// into lane `i mod 64` and rotating every lane once at the end
+/// therefore gives the serial value for every input, with independent
+/// XORs a compiler vectorises.
+const LANES: usize = 64;
+
+/// XORs one block's bits into the lanes. The block must start at an
+/// index that is a multiple of [`LANES`] and hold at most `LANES`
+/// elements.
+fn fold_block(lanes: &mut [u32; LANES], block: &[f32]) {
+    for (l, v) in lanes.iter_mut().zip(block) {
+        *l ^= v.to_bits();
+    }
+}
+
+/// The serial fold's value from the lanes of an `n`-element buffer.
+/// Lanes `q >= n` received no element (and `n − 1 − q` would underflow
+/// for them), so only the first `n` lanes are folded.
+fn finish_lanes(lanes: &[u32; LANES], n: usize) -> u64 {
+    lanes.iter().enumerate().take(n).fold(0u64, |acc, (q, &l)| {
+        let shift = (7 * ((n - 1 - q) % LANES) % LANES) as u32;
+        acc ^ u64::from(l).rotate_left(shift)
+    })
+}
+
+/// Bit-exact checksum of a float buffer: the serial fold
+/// `acc = acc.rotl(7) ^ bits` over every element, computed as a
+/// 64-lane XOR fold in one vectorisable pass.
 pub fn checksum(buf: &[f32]) -> u64 {
-    buf.iter()
-        .fold(0u64, |acc, &v| acc.rotate_left(7) ^ u64::from(v.to_bits()))
+    let mut lanes = [0u32; LANES];
+    let mut blocks = buf.chunks_exact(LANES);
+    for block in &mut blocks {
+        fold_block(&mut lanes, block);
+    }
+    fold_block(&mut lanes, blocks.remainder());
+    finish_lanes(&lanes, buf.len())
 }
 
 /// The warmup digest an open-membership joiner claims (and a witness
@@ -518,7 +607,7 @@ pub fn run_worker(
                     cfg.id,
                     iteration,
                     data_cursor,
-                    &params,
+                    checksum(&params),
                     false,
                     stalled,
                 );
@@ -640,7 +729,7 @@ pub fn run_worker(
                         cfg.id,
                         iteration,
                         data_cursor,
-                        &params,
+                        checksum(&params),
                         false,
                         stalled,
                     );
@@ -670,12 +759,15 @@ pub fn run_worker(
             }
         }
     }
+    // Kept current by every optimizer step, which folds the checksum
+    // into its sweep.
+    let mut params_checksum = checksum(&params);
     publish(
         &telemetry,
         cfg.id,
         iteration,
         data_cursor,
-        &params,
+        params_checksum,
         true,
         stalled,
     );
@@ -684,6 +776,10 @@ pub fn run_worker(
         if ctrl.worker_crashed(cfg.id) {
             return;
         }
+        // Between boundaries nothing else reads the inbox: settle the
+        // acks of what this worker streamed (a checkpoint, a transfer)
+        // so `tick` does not resend chunks the peer already has.
+        rep.absorb_acks();
         let _ = rep.tick();
         if heartbeat_due(&mut last_hb, time.now(), hb_period) {
             rep.send_unreliable(
@@ -740,7 +836,7 @@ pub fn run_worker(
                         cfg.id,
                         iteration,
                         data_cursor,
-                        &params,
+                        params_checksum,
                         false,
                         stalled,
                     );
@@ -757,7 +853,7 @@ pub fn run_worker(
                     cfg.id,
                     iteration,
                     data_cursor,
-                    &params,
+                    params_checksum,
                     false,
                     stalled,
                 );
@@ -767,10 +863,7 @@ pub fn run_worker(
         // Optimizer step: SGD with momentum on the averaged gradient. The
         // world size is the one captured with this round's sum, so an
         // eviction mid-round cannot skew the average.
-        for ((w, m), &s) in params.iter_mut().zip(momentum.iter_mut()).zip(sum.iter()) {
-            *m = 0.9 * *m + s / world;
-            *w -= cfg.learning_rate * *m;
-        }
+        params_checksum = sgd_step(&mut params, &mut momentum, &sum, world, cfg.learning_rate);
         iteration += 1;
         data_cursor += cfg.total_batch as u64;
         if ctrl.worker_crashed(cfg.id) {
@@ -781,7 +874,7 @@ pub fn run_worker(
             cfg.id,
             iteration,
             data_cursor,
-            &params,
+            params_checksum,
             true,
             stalled,
         );
@@ -916,7 +1009,7 @@ pub fn run_worker(
                             cfg.id,
                             iteration,
                             data_cursor,
-                            &params,
+                            params_checksum,
                             false,
                             stalled,
                         );
@@ -947,7 +1040,7 @@ fn publish(
     id: WorkerId,
     iteration: u64,
     data_cursor: u64,
-    params: &[f32],
+    params_checksum: u64,
     alive: bool,
     stalled: std::time::Duration,
 ) {
@@ -956,7 +1049,7 @@ fn publish(
         WorkerView {
             iteration,
             data_cursor,
-            params_checksum: checksum(params),
+            params_checksum,
             alive,
             stalled,
         },
@@ -978,6 +1071,133 @@ mod tests {
         assert_ne!(a, b);
         gradient(WorkerId(0), 6, &mut b);
         assert_ne!(a, b);
+    }
+
+    /// The scalar gradient formula the periodic fill replaced.
+    fn gradient_formula(worker: WorkerId, iteration: u64, out: &mut [f32]) {
+        let w = worker.0 as u64;
+        for (j, g) in out.iter_mut().enumerate() {
+            let x = (iteration
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(w.wrapping_mul(1442695040888963407))
+                .wrapping_add(j as u64))
+                % 2048;
+            *g = (x as f32 / 2048.0) - 0.5;
+        }
+    }
+
+    /// The serial checksum chain the lane fold replaced.
+    fn serial_checksum(buf: &[f32]) -> u64 {
+        buf.iter()
+            .fold(0u64, |acc, &v| acc.rotate_left(7) ^ u64::from(v.to_bits()))
+    }
+
+    /// The scalar SGD-with-momentum step `sgd_step` fused.
+    fn scalar_sgd(params: &mut [f32], momentum: &mut [f32], sum: &[f32], world: f32, lr: f32) {
+        for ((w, m), &s) in params.iter_mut().zip(momentum.iter_mut()).zip(sum) {
+            *m = 0.9 * *m + s / world;
+            *w -= lr * *m;
+        }
+    }
+
+    /// `n` floats with arbitrary bit patterns (NaNs and infinities
+    /// included), from a SplitMix64 stream.
+    fn random_bits(n: usize, seed: u64) -> Vec<f32> {
+        let mut x = seed;
+        (0..n)
+            .map(|_| {
+                x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+                let mut z = x;
+                z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+                f32::from_bits((z ^ (z >> 31)) as u32)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn lane_fold_equals_serial_fold() {
+        for (seed, n) in [0, 1, 63, 64, 65, 2047, 2048, 2049, 4096, 4097, 1 << 20]
+            .into_iter()
+            .enumerate()
+        {
+            let buf = random_bits(n, seed as u64);
+            assert_eq!(checksum(&buf), serial_checksum(&buf), "len {n}");
+        }
+        // Structured inputs too: one set bit at every position of a lane.
+        for i in 0..130 {
+            let mut buf = vec![0.0f32; 130];
+            buf[i] = f32::from_bits(1 << (i % 32));
+            assert_eq!(checksum(&buf), serial_checksum(&buf), "bit at {i}");
+        }
+    }
+
+    #[test]
+    fn periodic_gradient_equals_formula() {
+        for worker in [0, 1, 3, 17, u32::MAX] {
+            for iteration in [0, 1, 99, 1 << 40, u64::MAX] {
+                for n in [0, 1, 2047, 2048, 2049, 4096, 5000] {
+                    let mut fast = vec![f32::NAN; n];
+                    let mut slow = vec![f32::NAN; n];
+                    gradient(WorkerId(worker), iteration, &mut fast);
+                    gradient_formula(WorkerId(worker), iteration, &mut slow);
+                    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(
+                        bits(&fast),
+                        bits(&slow),
+                        "worker {worker} iteration {iteration} len {n}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn sgd_step_matches_scalar_step_and_returns_its_checksum() {
+        for n in [0, 1, 63, 64, 65, 2049, 4097] {
+            let unit = |v: Vec<f32>| -> Vec<f32> {
+                v.iter()
+                    .map(|x| (x.to_bits() % 4096) as f32 / 1024.0 - 2.0)
+                    .collect()
+            };
+            let p0 = unit(random_bits(n, 1));
+            let m0 = unit(random_bits(n, 2));
+            let sum = unit(random_bits(n, 3));
+            let (mut p, mut m) = (p0.clone(), m0.clone());
+            let got = sgd_step(&mut p, &mut m, &sum, 3.0, 0.05);
+            let (mut want_p, mut want_m) = (p0, m0);
+            scalar_sgd(&mut want_p, &mut want_m, &sum, 3.0, 0.05);
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&p), bits(&want_p), "params, len {n}");
+            assert_eq!(bits(&m), bits(&want_m), "momentum, len {n}");
+            assert_eq!(got, checksum(&p), "len {n}");
+            assert_eq!(got, serial_checksum(&p), "len {n}");
+        }
+    }
+
+    #[test]
+    fn simulate_training_matches_the_scalar_replay() {
+        for (world, iterations, elems) in [(1, 3, 100), (2, 6, 4097), (3, 4, 2048)] {
+            let lr = 0.05;
+            let mut params = vec![0.5f32; elems];
+            let mut momentum = vec![0.0f32; elems];
+            let mut grad = vec![0.0f32; elems];
+            for iter in 0..iterations {
+                let mut sum = vec![0.0f32; elems];
+                for w in 0..world {
+                    gradient_formula(WorkerId(w), iter, &mut grad);
+                    for (s, &g) in sum.iter_mut().zip(&grad) {
+                        *s += g;
+                    }
+                }
+                scalar_sgd(&mut params, &mut momentum, &sum, world as f32, lr);
+            }
+            let (p, m, cursor) = simulate_training(world, iterations, elems, lr, 128);
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&p), bits(&params));
+            assert_eq!(bits(&m), bits(&momentum));
+            assert_eq!(cursor, iterations * 128);
+        }
     }
 
     #[test]
